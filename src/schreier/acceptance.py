@@ -619,7 +619,8 @@ CRITERIA: List[Tuple[int, str, Check]] = [
 
 def format_line(res: CriterionResult) -> str:
     word = "PASS" if res.passed else "FAIL"
-    return f"acceptance {res.number:>2}: {word} - {res.detail}"
+    return (f"acceptance {res.number:>2}: {word} - {res.detail} "
+            f"({res.seconds:.2f} s)")
 
 
 def run_one(number: int) -> CriterionResult:

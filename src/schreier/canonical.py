@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .families import FamilySpec, check_sperner
-from .finsets import EMPTY, FinSet, Window, as_finset
+from .finsets import FinSet, Window, as_finset
 from .ordinals import ZERO, descend
 
 __all__ = [
@@ -58,52 +58,48 @@ class CanonicalRep:
         }
 
 
+def _first_block(spec: FamilySpec, A: FinSet) -> int:
+    """Length of the member prefix of nonempty A, or 0 when there is none.
+
+    By thinness no later prefix can be a member, so for a system family
+    one residual walk that stops at its first zero decides; a walk that
+    never reaches zero is never stuck, and A extends to a member.  Other
+    families are scanned prefix by prefix, which also checks the contract.
+    """
+    xi = spec.system_ordinal()
+    if xi is not None and not xi.is_zero:
+        r = xi
+        for k, n in enumerate(A, 1):
+            r = descend(r, n)
+            if r == ZERO:
+                return k
+        return 0
+    hits = [k for k in range(1, len(A) + 1) if spec.member(A[:k])]
+    if len(hits) > 1:
+        raise FamilyContractError(
+            f"{spec.literal()} is not thin: {A[:hits[0]]} and "
+            f"{A[:hits[1]]} are both members"
+        )
+    if not hits and not spec.star(A):
+        raise FamilyContractError(
+            f"{spec.literal()} is not uniform here: {A} has no member "
+            "prefix and does not extend to a member"
+        )
+    return hits[0] if hits else 0
+
+
 def canonical_rep(spec: FamilySpec, A) -> CanonicalRep:
     A = as_finset(A)
     if not A:
         raise ValueError("canonical representation is defined for nonempty sets")
-    xi = spec.system_ordinal()
-    if xi is not None:
-        return _system_rep(xi, A)
-    return _generic_rep(spec, A)
-
-
-def _system_rep(xi, A: FinSet) -> CanonicalRep:
-    # the residual walk visits zero exactly at block boundaries; restart it
-    # there and whatever is left over is the tail
     blocks: List[FinSet] = []
-    cur: List[int] = []
-    r = xi
-    for n in A:
-        cur.append(n)
-        r = descend(r, n)
-        if r == ZERO:
-            blocks.append(tuple(cur))
-            cur = []
-            r = xi
-    return CanonicalRep(blocks=tuple(blocks), tail=tuple(cur))
-
-
-def _generic_rep(spec: FamilySpec, A: FinSet) -> CanonicalRep:
-    blocks: List[FinSet] = []
-    rest = A
-    while rest:
-        hits = [k for k in range(1, len(rest) + 1) if spec.member(rest[:k])]
-        if len(hits) > 1:
-            raise FamilyContractError(
-                f"{spec.literal()} is not thin: {rest[:hits[0]]} and "
-                f"{rest[:hits[1]]} are both members"
-            )
-        if not hits:
-            if not spec.star(rest):
-                raise FamilyContractError(
-                    f"{spec.literal()} is not uniform here: {rest} has no "
-                    "member prefix and does not extend to a member"
-                )
-            return CanonicalRep(blocks=tuple(blocks), tail=rest)
-        blocks.append(rest[: hits[0]])
-        rest = rest[hits[0] :]
-    return CanonicalRep(blocks=tuple(blocks), tail=EMPTY)
+    while A:
+        k = _first_block(spec, A)
+        if not k:
+            break
+        blocks.append(A[:k])
+        A = A[k:]
+    return CanonicalRep(blocks=tuple(blocks), tail=A)
 
 
 def trichotomy(spec: FamilySpec, A) -> Tuple[str, Optional[FinSet]]:
@@ -115,16 +111,9 @@ def trichotomy(spec: FamilySpec, A) -> Tuple[str, Optional[FinSet]]:
     A = as_finset(A)
     if not A:
         raise ValueError("the empty set is not classified")
-    hits = [k for k in range(1, len(A) + 1) if spec.member(A[:k])]
-    if len(hits) > 1:
-        raise FamilyContractError(f"{spec.literal()} is not thin on {A}")
-    if hits:
-        return "ExtendsMember", A[: hits[0]]
-    if not spec.star(A):
-        raise FamilyContractError(
-            f"{spec.literal()} is not uniform here: {A} neither contains a "
-            "member prefix nor extends to a member"
-        )
+    k = _first_block(spec, A)
+    if k:
+        return "ExtendsMember", A[:k]
     return "ProperPrefixOfMember", None
 
 

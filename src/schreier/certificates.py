@@ -12,12 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Callable, Dict, Optional, Tuple
 
 from .colorings import Coloring, get_coloring
 from .families import parse_family
-from .finsets import FinSet, Window, as_finset
+from .finsets import FinSet, Window, as_finset, subsets_of
 
 CERT_KINDS = (
     "Homogeneous",
@@ -96,8 +95,18 @@ def to_json(cert: Certificate) -> str:
 
 
 def from_json(data) -> Certificate:
+    """Rebuild a certificate from its JSON text or decoded document.
+
+    Any malformed input raises CertificateError; the hash and the claim
+    are left to verify_certificate.
+    """
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except ValueError as e:
+            raise CertificateError(f"certificate is not JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise CertificateError("a certificate must be a JSON object")
     try:
         kind = data["kind"]
         family = data["family"]
@@ -107,8 +116,10 @@ def from_json(data) -> Certificate:
         witness = as_finset(data["witness"])
         payload = tuple(sorted(data["payload"].items()))
         digest = data["transcript_hash"]
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise CertificateError(f"missing certificate field: {e}") from e
+    except (TypeError, ValueError, AttributeError) as e:
+        raise CertificateError(f"malformed certificate: {e}") from e
     if kind not in CERT_KINDS:
         raise CertificateError(f"unknown certificate kind {kind!r}")
     return Certificate(kind, family, window, witness, payload, digest)
@@ -132,13 +143,6 @@ def hereditary_predicate(desc: str) -> Callable[[FinSet], bool]:
     raise CertificateError(f"unknown predicate description {desc!r}")
 
 
-def _subsets(base: FinSet, include_empty: bool = True):
-    start = 0 if include_empty else 1
-    return chain.from_iterable(
-        combinations(base, k) for k in range(start, len(base) + 1)
-    )
-
-
 def _verify_homogeneous(cert: Certificate, coloring: Optional[Coloring]):
     p = cert.payload_dict()
     spec = parse_family(cert.family)
@@ -157,7 +161,7 @@ def _verify_homogeneous(cert: Certificate, coloring: Optional[Coloring]):
             coloring = get_coloring(name, seed)
         except ValueError as e:
             return False, str(e)
-    for s in _subsets(cert.witness, include_empty=False):
+    for s in subsets_of(cert.witness, include_empty=False):
         if spec.member(s) and coloring(s) != color:
             return False, f"member {s} has color {coloring(s)}, expected {color}"
     return True, "ok"
@@ -170,7 +174,7 @@ def _verify_dichotomy(cert: Certificate, branch: str):
         hered = hereditary_predicate(p.get("hereditary", ""))
     except CertificateError as e:
         return False, str(e)
-    for t in _subsets(cert.witness):
+    for t in subsets_of(cert.witness):
         if branch == "A":
             try:
                 in_down = spec.down(t)
@@ -186,7 +190,7 @@ def _verify_dichotomy(cert: Certificate, branch: str):
 
 def _verify_sperner(cert: Certificate):
     spec = parse_family(cert.family)
-    members = [s for s in _subsets(cert.witness, include_empty=False)
+    members = [s for s in subsets_of(cert.witness, include_empty=False)
                if spec.member(s)]
     for i, s in enumerate(members):
         ss = set(s)

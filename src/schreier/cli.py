@@ -308,7 +308,7 @@ def _run_check(args) -> Result:
     out = {
         "criteria": [
             {"number": r.number, "title": r.title, "passed": r.passed,
-             "detail": r.detail}
+             "detail": r.detail, "seconds": r.seconds}
             for r in results
         ],
         "passed": passed,

@@ -25,11 +25,10 @@ the operations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
-from .finsets import EMPTY, FinSet, Window, as_finset, mask_of, set_of_mask
+from .finsets import EMPTY, FinSet, Window, mask_of, set_of_mask, subsets_of
 from .ordinals import (
     ONE,
     OMEGA,
@@ -327,16 +326,15 @@ def parse_family(text: str) -> FamilySpec:
 # -- subset-closure closed forms --------------------------------------
 
 
-def _schreier_star_parts(t: FinSet) -> int:
-    """Minimal number of parts, each with |part| <= its own minimum.
+def _schreier_star_parts(t: FinSet, pos: int = 0) -> int:
+    """Minimal number of parts of t[pos:], each with |part| <= its own minimum.
 
     Greedy longest-part is optimal: from position i the feasible part
     lengths are exactly 1..min(t[i], rest), a contiguous range.
     """
-    pos = 0
     parts = 0
     while pos < len(t):
-        pos += min(t[pos], len(t) - pos)
+        pos += t[pos]
         parts += 1
     return parts
 
@@ -364,8 +362,7 @@ def _down_member(spec: FamilySpec, t: FinSet) -> bool:
         k = terms[1][1] if len(terms) > 1 else 0
         if len(terms) > 2 or (len(terms) == 2 and not terms[1][0].is_zero):
             raise ValueError(f"no subset-closure form for {spec.literal()}")
-        rest = t[min(k, len(t)):]
-        return not rest or _schreier_star_parts(rest) <= p
+        return _schreier_star_parts(t, k) <= p
     # w^2: at most min-many bounded parts
     if xi == omega_power(2):
         return _schreier_star_parts(t) <= t[0]
@@ -391,12 +388,7 @@ def section(spec: FamilySpec, m: int, window: Window) -> List[FinSet]:
         raise ValueError(f"{m} is not in the window ground set")
     tail = window.tail(m)
     _cap_len(len(tail))
-    out = []
-    for k in range(len(tail) + 1):
-        for s in combinations(tail, k):
-            if spec.member((m,) + s):
-                out.append(s)
-    return out
+    return [s for s in subsets_of(tail) if spec.member((m,) + s)]
 
 
 def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:

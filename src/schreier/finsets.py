@@ -9,8 +9,8 @@ enumeration and certificate checking are exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from itertools import chain, combinations
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 FinSet = Tuple[int, ...]
 
@@ -66,6 +66,39 @@ def is_subset(s: FinSet, t: FinSet) -> bool:
 
 def shortlex_key(s: FinSet):
     return (len(s), s)
+
+
+def subsets_of(base: Sequence[int], include_empty: bool = True) -> Iterator[FinSet]:
+    """All subsets of a sorted base in shortlex order (size, then lex)."""
+    start = 0 if include_empty else 1
+    return chain.from_iterable(
+        combinations(base, k) for k in range(start, len(base) + 1)
+    )
+
+
+def check_hereditary(pred: Callable[[FinSet], bool],
+                     sets: Iterable[FinSet]) -> List[FinSet]:
+    """The sets pred accepts, in order, after checking they lose no element.
+
+    pred is called once per set.  Every one-element removal from an
+    accepted set must be accepted too; sets has to hold each nonempty
+    removal (all subsets of a ground list do).  The removal to the empty
+    set is checked only when the empty set is among sets, so predicates
+    given by their nonempty members pass.
+    """
+    sets = list(sets)
+    members = [s for s in sets if pred(s)]
+    have = set(members)
+    empty_counts = EMPTY in sets
+    for t in members:
+        for i in range(len(t)):
+            r = t[:i] + t[i + 1:]
+            if r not in have and (r or empty_counts):
+                raise ValueError(
+                    f"predicate is not hereditary on the window: "
+                    f"{t} is in but {r} is not"
+                )
+    return members
 
 
 def spread(indices: FinSet, ground: Sequence[int]) -> FinSet:
@@ -134,8 +167,7 @@ class Window:
 
     def subsets(self) -> Iterator[FinSet]:
         """All subsets of the ground set in shortlex order (size, then lex)."""
-        for k in range(len(self.ground) + 1):
-            yield from combinations(self.ground, k)
+        return subsets_of(self.ground)
 
     def tail(self, m: int) -> Tuple[int, ...]:
         """Ground elements strictly above m."""

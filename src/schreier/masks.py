@@ -15,11 +15,11 @@ k, covered from every start, would otherwise cost all C(hi, k) subsets.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from .finsets import FinSet
+from .finsets import FinSet, set_of_mask
 from .ordinals import ZERO, Ordinal, as_ordinal, compare, descend
 
 __all__ = ["MaskFamily", "masks_to_sets", "sort_masks"]
@@ -159,13 +159,4 @@ def sort_masks(masks: np.ndarray) -> np.ndarray:
 
 def masks_to_sets(masks) -> List[FinSet]:
     """Decode masks to sorted tuples (small result sets only)."""
-    out = []
-    for m in masks:
-        m = int(m)
-        s = []
-        while m:
-            b = m & -m
-            s.append(b.bit_length() - 1)
-            m ^= b
-        out.append(tuple(s))
-    return out
+    return [set_of_mask(int(m)) for m in masks]

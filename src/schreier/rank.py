@@ -15,10 +15,10 @@ Two routes that meet on small finite cases:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .families import FamilySpec, residual_after
-from .finsets import EMPTY, FinSet, Window, as_finset
+from .finsets import EMPTY, FinSet, Window, as_finset, check_hereditary
 from .ordinals import ONE, Ordinal, add, as_ordinal, compare, omega_power
 
 __all__ = [
@@ -102,13 +102,11 @@ def brute_derivative(
     beyond the window).  A set survives one step iff all probe extensions
     A u {m}, m in (H, 2H], land inside the current derivative.
     """
-    ground = window.ground
     H = horizon if horizon is not None else window.hi
     if H < window.hi:
         raise ValueError("probe horizon below the window top")
 
-    members = [s for s in window.subsets() if pred(s)]
-    _check_hereditary(pred, members)
+    members = check_hereditary(pred, window.subsets())
 
     memo: Dict[Tuple[FinSet, int], bool] = {}
 
@@ -142,18 +140,6 @@ def brute_derivative(
             exhausted = True
     index = None if exhausted else (ranks.get(EMPTY, -1) + 1)
     return RankTable(ranks=ranks, index=index, exhausted=exhausted, horizon=H)
-
-
-def _check_hereditary(pred, members: List[FinSet]):
-    have = set(members)
-    for A in members:
-        for i in range(len(A)):
-            sub = A[:i] + A[i + 1 :]
-            if sub not in have:
-                raise ValueError(
-                    f"family is not hereditary on the window: {A} belongs "
-                    f"but {sub} does not"
-                )
 
 
 def index_compare(sigma, xi) -> str:

@@ -11,13 +11,14 @@ are reproducible without any seed plumbing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .certificates import Certificate, hereditary_predicate, make_certificate
 from .colorings import Coloring
 from .families import (
     FamilySpec,
+    _schreier_star_parts,
     iter_union_schreier,
     parse_family,
     star_closure,
@@ -25,8 +26,15 @@ from .families import (
     uniform_star,
     union_schreier_member,
 )
-from .finsets import EMPTY, FinSet, Window, set_of_mask, spread
-from .masks import MaskFamily
+from .finsets import (
+    EMPTY,
+    FinSet,
+    Window,
+    check_hereditary,
+    spread,
+    subsets_of,
+)
+from .masks import MaskFamily, masks_to_sets
 from .ordinals import (
     ONE,
     ZERO,
@@ -41,30 +49,34 @@ from .ordinals import (
 )
 
 
-def _subsets_of(base: Sequence[int], include_empty: bool = True):
-    start = 0 if include_empty else 1
-    return chain.from_iterable(
-        combinations(base, k) for k in range(start, len(base) + 1)
-    )
+# hereditary predicates are checked on the nonempty subsets of this many
+# leading window elements; whether the empty set belongs is their own call
+_PROBE = 12
 
 
-def _check_hereditary(pred, window: Window, probe: int = 12):
-    """Reject predicates that lose a nonempty subset of one of their sets.
+def _lex_first(ground: Sequence[int], target: int, admit, state=None):
+    """Lex-first target-subset L of ground grown one element at a time.
 
-    Whether the empty set belongs is left to the predicate; families given
-    by their nonempty members are fine.
+    admit(partial, e, state) returns (ok, state'); e joins partial only
+    when ok, carrying state' into the deeper search.  Returns (L, state)
+    or None when the ground is exhausted.
     """
-    ground = window.ground[:probe]
-    for t in _subsets_of(ground, include_empty=False):
-        if not pred(t):
-            continue
-        for i in range(len(t)):
-            r = t[:i] + t[i + 1:]
-            if r and not pred(r):
-                raise ValueError(
-                    f"predicate is not hereditary on the window: "
-                    f"{t} is in but {r} is not"
-                )
+    n = len(ground)
+
+    def pick(partial, state, start):
+        if len(partial) == target:
+            return partial, state
+        need = target - len(partial)
+        for i in range(start, n - need + 1):
+            e = ground[i]
+            ok, next_state = admit(partial, e, state)
+            if ok:
+                hit = pick(partial + (e,), next_state, i + 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    return pick((), state, 0)
 
 
 # -- homogeneity ------------------------------------------------------
@@ -81,33 +93,19 @@ def homogenize(spec: FamilySpec, coloring: Coloring, window: Window,
     """
     if target < 1:
         raise ValueError("target must be at least 1")
-    ground = window.ground
-    n = len(ground)
 
-    def extend(partial, color, start):
-        if len(partial) == target:
-            return partial, color
-        need = target - len(partial)
-        for i in range(start, n - need + 1):
-            e = ground[i]
-            c = color
-            ok = True
-            for s in _subsets_of(partial):
-                t = s + (e,)
-                if spec.member(t):
-                    col = coloring(t)
-                    if c is None:
-                        c = col
-                    elif col != c:
-                        ok = False
-                        break
-            if ok:
-                hit = extend(partial + (e,), c, i + 1)
-                if hit is not None:
-                    return hit
-        return None
+    def admit(partial, e, color):
+        for s in subsets_of(partial):
+            t = s + (e,)
+            if spec.member(t):
+                col = coloring(t)
+                if color is None:
+                    color = col
+                elif col != color:
+                    return False, color
+        return True, color
 
-    hit = extend((), None, 0)
+    hit = _lex_first(window.ground, target, admit)
     if hit is None:
         return None
     L, color = hit
@@ -207,11 +205,8 @@ def homogenize_stream(spec: FamilySpec, coloring: Coloring,
     color, thinned = walk(xi, lambda s: coloring(s), seq, budget.depth)
     prefix = tuple(thinned[:budget.emit])
 
-    mono = True
-    for s in _subsets_of(prefix):
-        if spec.member(s) and coloring(s) != color:
-            mono = False
-            break
+    mono = all(not spec.member(s) or coloring(s) == color
+               for s in subsets_of(prefix))
     if not mono:
         status = "failed"
     elif exhausted:
@@ -260,30 +255,14 @@ def sperner_refine(spec: FamilySpec, window: Window,
             for s in combinations(t, k)
         )
 
-    ground = window.ground
-    n = len(ground)
+    def admit(partial, e, state):
+        return all(not spec.member(s + (e,)) or minimal(s + (e,))
+                   for s in subsets_of(partial)), state
 
-    def extend(partial, start):
-        if len(partial) == target:
-            return partial
-        need = target - len(partial)
-        for i in range(start, n - need + 1):
-            e = ground[i]
-            ok = True
-            for s in _subsets_of(partial):
-                t = s + (e,)
-                if spec.member(t) and not minimal(t):
-                    ok = False
-                    break
-            if ok:
-                hit = extend(partial + (e,), i + 1)
-                if hit is not None:
-                    return hit
+    hit = _lex_first(window.ground, target, admit)
+    if hit is None:
         return None
-
-    L = extend((), 0)
-    if L is None:
-        return None
+    L, _ = hit
     payload = {"target": target, "op": "sperner-refine"}
     return make_certificate("SpernerRefined", spec.literal(), window, L,
                             payload)
@@ -305,7 +284,8 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     """
     hered = hereditary_predicate(hered_desc)
     spec.down(EMPTY)  # raises early when no subset-closure form exists
-    _check_hereditary(hered, window)
+    check_hereditary(hered, subsets_of(window.ground[:_PROBE],
+                                       include_empty=False))
     ground = window.ground
     if not 1 <= target <= len(ground):
         raise ValueError("target outside the window")
@@ -313,7 +293,7 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
         if count >= max_candidates:
             break
         okA = okB = True
-        for t in _subsets_of(L):
+        for t in subsets_of(L):
             if okA and spec.down(t) and not hered(t):
                 okA = False
             if okB and hered(t) and not (spec.star(t) and not spec.member(t)):
@@ -342,30 +322,20 @@ def rank_separation(xi1, xi2, window: Window,
     xi1, xi2 = as_ordinal(xi1), as_ordinal(xi2)
     if compare(xi1, xi2) >= 0:
         raise ValueError("separation needs xi1 < xi2")
-    ground = window.ground
-    n = len(ground)
-    if not 1 <= target <= n:
+    if not 1 <= target <= len(window.ground):
         raise ValueError("target outside the window")
 
     def admissible(t):
         return not uniform_member(xi1, t) or (
             uniform_star(xi2, t) and not uniform_member(xi2, t))
 
-    def extend(partial, start):
-        if len(partial) == target:
-            return partial
-        need = target - len(partial)
-        for i in range(start, n - need + 1):
-            e = ground[i]
-            if all(admissible(s + (e,)) for s in _subsets_of(partial)):
-                hit = extend(partial + (e,), i + 1)
-                if hit is not None:
-                    return hit
-        return None
+    def admit(partial, e, state):
+        return all(admissible(s + (e,)) for s in subsets_of(partial)), state
 
-    L = extend((), 0)
-    if L is None:
+    hit = _lex_first(window.ground, target, admit)
+    if hit is None:
         return None
+    L, _ = hit
     payload = {
         "hereditary": f"member:A:{format_ordinal(xi1)}",
         "branch": "B",
@@ -387,30 +357,17 @@ def detect_chain(hered_desc: str, window: Window,
     if depth < 1:
         raise ValueError("depth must be at least 1")
     hered = hereditary_predicate(hered_desc)
-    _check_hereditary(hered, window)
+    check_hereditary(hered, subsets_of(window.ground[:_PROBE],
+                                       include_empty=False))
     root_empty = hered(EMPTY)
     needed = depth - 1 if root_empty else depth
-    ground = window.ground
-
-    if needed == 0:
-        links = [EMPTY]
-    else:
-        def grow(t, start):
-            if len(t) == needed:
-                return t
-            for i in range(start, len(ground)):
-                t2 = t + (ground[i],)
-                if hered(t2):
-                    hit = grow(t2, i + 1)
-                    if hit is not None:
-                        return hit
-            return None
-
-        A = grow((), 0)
-        if A is None:
-            return None
-        links = ([EMPTY] if root_empty else []) + \
-            [A[:k] for k in range(1, needed + 1)]
+    hit = _lex_first(window.ground, needed,
+                     lambda partial, e, state: (hered(partial + (e,)), state))
+    if hit is None:
+        return None
+    A, _ = hit
+    links = ([EMPTY] if root_empty else []) + \
+        [A[:k] for k in range(1, needed + 1)]
     payload = {
         "hereditary": hered_desc,
         "depth": depth,
@@ -446,15 +403,7 @@ def _fast_system_star(level: int, t) -> bool:
         return len(t) <= 1
     if level == 1:
         return len(t) <= t[0]
-    i = t[0]
-    blocks = t[0] - 1
-    n = len(t)
-    while i < n:
-        if blocks == 0:
-            return False
-        i += t[i]
-        blocks -= 1
-    return True
+    return _schreier_star_parts(t, t[0]) < t[0]
 
 
 def _witnessed_prefixes(level: int, window: Window):
@@ -467,17 +416,10 @@ def _witnessed_prefixes(level: int, window: Window):
     sys_ord = omega_power(as_ordinal(level))
     plain = window.ground == tuple(range(1, window.hi + 1))
     if plain and window.hi <= 62:
-        fam = MaskFamily(sys_ord, window.hi)
-        prefix_masks = set()
-        for m in fam.member_masks():
-            mm = int(m)
-            seen = 0
-            while mm:
-                low = mm & -mm
-                seen |= low
-                prefix_masks.add(seen)
-                mm ^= low
-        return [set_of_mask(pm) for pm in prefix_masks]
+        prefixes = set()
+        for s in masks_to_sets(MaskFamily(sys_ord, window.hi).member_masks()):
+            prefixes.update(s[:k] for k in range(1, len(s) + 1))
+        return list(prefixes)
     return [p for p in star_closure(parse_family(f"B:{level}"), window) if p]
 
 
@@ -594,7 +536,7 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     for count, cand in enumerate(combinations(ground, size)):
         if count >= max_candidates:
             break
-        if any(bspec.down(t) and not pred(t) for t in _subsets_of(cand)):
+        if any(bspec.down(t) and not pred(t) for t in subsets_of(cand)):
             continue
         L = cand[2 + extra_drop:]
         checked = 0

@@ -94,20 +94,20 @@ def test_type_zero_is_proper_prefix():
 
 
 def test_generic_path_matches_system_path():
-    # ex112 is uniform but has no single system ordinal; cross-check the
-    # generic scan against hand expectations, and both paths on a system
-    # family via a custom wrapper
-    sysspec = spec_of("A:w+1")
-    wrapped = FamilySpec(
-        kind="custom",
-        predicate=sysspec.member,
-        star_predicate=sysspec.star,
-        name="wrapped",
-    )
-    for A in all_subsets(10):
-        a = canonical_rep(sysspec, A)
-        b = canonical_rep(wrapped, A)
-        assert a == b
+    # a custom wrapper hides the system ordinal, so it takes the generic
+    # prefix-by-prefix scan: the definitional oracle for the residual walk
+    for text in ("A:2", "A:w", "A:w+1", "A:w*2", "A:w^2", "A:w^w"):
+        sysspec = spec_of(text)
+        wrapped = FamilySpec(
+            kind="custom",
+            predicate=sysspec.member,
+            star_predicate=sysspec.star,
+            name="wrapped",
+        )
+        for A in all_subsets(10):
+            assert canonical_rep(sysspec, A) == canonical_rep(wrapped, A), \
+                (text, A)
+            assert trichotomy(sysspec, A) == trichotomy(wrapped, A), (text, A)
 
 
 def test_mixed_family_rep():

@@ -167,6 +167,32 @@ def test_from_json_rejects_malformed():
         from_json(json.dumps(d))
 
 
+def _with(field, value):
+    d = good_homogeneous().to_json_dict()
+    d[field] = value
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("text", [
+    _with("payload", []),
+    _with("window", {"lo": 5, "hi": 2}),
+    _with("witness", [3, 3]),
+    _with("witness", [0, 2]),
+    _with("witness", ["a"]),
+    "not json {",
+    "[]",
+    "3",
+], ids=["payload-list", "window-lo-above-hi", "witness-duplicate",
+        "witness-zero", "witness-text", "not-json", "json-list",
+        "json-number"])
+def test_from_json_malformed_raises_certificate_error(text):
+    with pytest.raises(CertificateError):
+        from_json(text)
+    if text.startswith("{"):
+        with pytest.raises(CertificateError):
+            from_json(json.loads(text))
+
+
 def test_digest_ignores_payload_order():
     w = Window(1, 10)
     a = make_certificate("SpernerRefined", "A:3", w, (1, 2, 3),

@@ -334,6 +334,25 @@ def test_all_verbs_registered():
         assert verb in text
 
 
+def test_check_reports_seconds(capsys, monkeypatch):
+    from schreier import acceptance
+
+    def run_one(number):
+        num, title, _ = acceptance.CRITERIA[number - 1]
+        return acceptance.CriterionResult(num, title, True, "stub", 0.25)
+
+    monkeypatch.setattr(acceptance, "run_one", run_one)
+    rc, out, _ = run(capsys, "check")
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == len(acceptance.CRITERIA)
+    assert lines[0] == "acceptance  1: PASS - stub (0.25 s)"
+    rc, doc, _ = run_json(capsys, "check")
+    assert rc == 0
+    assert [c["seconds"] for c in doc["criteria"]] == \
+        [0.25] * len(acceptance.CRITERIA)
+
+
 def test_seed_range_checked(capsys):
     rc, _, err = run(capsys, "member", "--family", "A:1", "--set", "{1}",
                      "--seed", "-3")
