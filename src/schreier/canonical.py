@@ -71,7 +71,7 @@ def _first_block(spec: FamilySpec, A: FinSet) -> int:
         r = xi
         for k, n in enumerate(A, 1):
             r = descend(r, n)
-            if r == ZERO:
+            if r is ZERO:
                 return k
         return 0
     hits = [k for k in range(1, len(A) + 1) if spec.member(A[:k])]

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from .colorings import Coloring, get_coloring
+from .colorings import Coloring, get_coloring, hash_coloring
 from .families import parse_family
 from .finsets import FinSet, Window, as_finset, subsets_of
 
@@ -149,16 +149,20 @@ def _verify_homogeneous(cert: Certificate, coloring: Optional[Coloring]):
     target = p.get("target")
     color = p.get("color")
     name = p.get("coloring", "")
+    colors = p.get("colors", 2)
     if len(cert.witness) != target:
         return False, f"witness size {len(cert.witness)} != target {target}"
+    # bool is an int subclass, so test the exact type
+    if type(colors) is not int or colors < 1:
+        return False, f"colors must be an integer >= 1, got {colors!r}"
     if coloring is None:
         if name.startswith("external:"):
             return False, "external coloring requires a caller-supplied oracle"
-        seed = int(p.get("seed", 0))
-        if name.startswith("hash[") and name.endswith("]"):
-            name, seed = "hash", int(name[5:-1])
         try:
-            coloring = get_coloring(name, seed)
+            if name.startswith("hash[") and name.endswith("]"):
+                coloring = hash_coloring(int(name[5:-1]), colors)
+            else:
+                coloring = get_coloring(name, int(p.get("seed", 0)))
         except ValueError as e:
             return False, str(e)
     for s in subsets_of(cert.witness, include_empty=False):

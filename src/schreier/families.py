@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from .finsets import EMPTY, FinSet, Window, mask_of, set_of_mask, subsets_of
+from .finsets import (EMPTY, FinSet, Window, mask_of, set_of_mask,
+                      shortlex_key, subsets_of)
 from .ordinals import (
     ONE,
     OMEGA,
@@ -39,6 +40,7 @@ from .ordinals import (
     format_ordinal,
     omega_power,
     parse_ordinal,
+    predecessor,
     wainer_fundamental,
 )
 
@@ -72,7 +74,7 @@ def residual_after(xi: Ordinal, s: FinSet) -> Optional[Ordinal]:
     """
     r = as_ordinal(xi)
     for n in s:
-        if r.is_zero:
+        if r is ZERO:
             return None
         r = descend(r, n)
     return r
@@ -80,7 +82,7 @@ def residual_after(xi: Ordinal, s: FinSet) -> Optional[Ordinal]:
 
 def uniform_member(xi, s: FinSet) -> bool:
     """s belongs to the system family at xi (residual consumed exactly)."""
-    return residual_after(as_ordinal(xi), s) == ZERO
+    return residual_after(as_ordinal(xi), s) is ZERO
 
 
 def uniform_star(xi, s: FinSet) -> bool:
@@ -128,8 +130,6 @@ def _greedy_covers(a: Ordinal, s: FinSet, cache) -> bool:
         return any(
             _greedy_covers(wainer_fundamental(a, n), s, cache) for n in range(1, s[0] + 1)
         )
-    from .ordinals import predecessor
-
     b = predecessor(a)
     pos = 0
     blocks = 0
@@ -158,8 +158,6 @@ def _longest_block(b: Ordinal, s: FinSet, i: int, cache) -> int:
             for n in range(1, s[i] + 1)
         )
     else:
-        from .ordinals import predecessor
-
         c = predecessor(b)
         pos = i
         for _ in range(s[i]):  # at most s[i] sub-blocks fit the budget
@@ -401,7 +399,7 @@ def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
     for s in enumerate_family(spec, window):
         for k in range(1, len(s) + 1):
             seen.setdefault(s[:k], None)
-    return sorted(seen, key=lambda x: (len(x), x))
+    return sorted(seen, key=shortlex_key)
 
 
 def down_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
@@ -416,7 +414,7 @@ def down_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
             if sub == 0:
                 break
             sub = (sub - 1) & m
-    return sorted((set_of_mask(x) for x in seen), key=lambda x: (len(x), x))
+    return sorted((set_of_mask(x) for x in seen), key=shortlex_key)
 
 
 def check_thin(spec: FamilySpec, window: Window):
@@ -473,7 +471,7 @@ def _cap_len(n: int, limit: int = 25):
 
 def enumerate_union_schreier(a, window: Window) -> List[FinSet]:
     """All union-hierarchy members at level a inside the window, shortlex."""
-    return sorted(iter_union_schreier(a, window), key=lambda s: (len(s), s))
+    return sorted(iter_union_schreier(a, window), key=shortlex_key)
 
 
 def iter_union_schreier(a, window: Window) -> Iterator[FinSet]:
@@ -500,8 +498,6 @@ def iter_union_schreier(a, window: Window) -> Iterator[FinSet]:
                     seen.add(s)
                     yield s
         return
-    from .ordinals import predecessor
-
     b = predecessor(a)
     if not _has_block_generator(b):
         # no structural generator at this level: filter exhaustively
@@ -574,11 +570,9 @@ def spread_union_schreier(a, ground_list: Tuple[int, ...]) -> List[FinSet]:
     """The level-a family spread onto a listed ground set.
 
     Members over positions 1..len(ground_list) are relabeled through
-    position i -> ground_list[i-1].
+    position i -> ground_list[i-1]; an increasing ground list keeps the
+    shortlex order of the positions.
     """
     w = Window(1, max(len(ground_list), 1))
-    out = []
-    for s in enumerate_union_schreier(a, w):
-        out.append(tuple(ground_list[i - 1] for i in s))
-    out.sort(key=lambda s: (len(s), s))
-    return out
+    return [tuple(ground_list[i - 1] for i in s)
+            for s in enumerate_union_schreier(a, w)]

@@ -60,10 +60,6 @@ def is_proper_initial_segment(s: FinSet, t: FinSet) -> bool:
     return len(s) < len(t) and t[: len(s)] == s
 
 
-def is_subset(s: FinSet, t: FinSet) -> bool:
-    return set(s) <= set(t)
-
-
 def shortlex_key(s: FinSet):
     return (len(s), s)
 

@@ -24,12 +24,16 @@ from .ordinals import ZERO, Ordinal, as_ordinal, compare, descend
 
 __all__ = ["MaskFamily", "masks_to_sets", "sort_masks"]
 
+# one uint64 per member: 2**27 members are 1 GiB of masks
+_MAX_MEMBERS = 1 << 27
+
 
 class MaskFamily:
     """The system family at xi over the window [root_start+1, hi].
 
     member_masks() holds every member whose elements all exceed
-    root_start, as bitmasks grouped by descending first element.
+    root_start, as bitmasks grouped by descending first element.  More
+    than 2**27 members (1 GiB of masks) raise ValueError before assembly.
     """
 
     def __init__(self, xi, hi: int, root_start: int = 0):
@@ -49,6 +53,11 @@ class MaskFamily:
             return
         self._discover()
         self._count()
+        members = self.member_count()
+        if members > _MAX_MEMBERS:
+            raise ValueError(
+                f"{members} members would take {members * 8 / 2**30:.1f} GiB "
+                f"of masks; the limit is {_MAX_MEMBERS} members (1 GiB)")
         self._assemble()
 
     # -- pass 0: reachable (state, start) pairs -----------------------
@@ -61,7 +70,7 @@ class MaskFamily:
             r, m = stack.pop()
             for n in range(m + 1, self.hi + 1):
                 d = descend(r, n)
-                if d == ZERO:
+                if d is ZERO:
                     continue
                 if (d, n) in seen:
                     continue
@@ -85,7 +94,7 @@ class MaskFamily:
             for m in range(self.hi - 1, lo - 1, -1):
                 n = m + 1
                 d = descend(r, n)
-                if d == ZERO:
+                if d is ZERO:
                     total += 1
                 else:
                     total += int(cnt[d][n - self._minstart[d]])
@@ -111,7 +120,7 @@ class MaskFamily:
             for n in range(self.hi, lo, -1):
                 bit = np.uint64(1 << n)
                 d = descend(r, n)
-                if d == ZERO:
+                if d is ZERO:
                     chunks.append(np.array([bit], dtype=np.uint64))
                 else:
                     c = self._count_at(d, n)

@@ -10,12 +10,16 @@ The assignment of a fundamental sequence to a limit ordinal is not canonical;
 for exponent positions this module uses the Wainer-style assignment (see
 :func:`wainer_fundamental`).  It is the only scheme implemented, but it is
 named so the choice is visible at the interfaces that depend on it.
+
+Ordinals are hash-consed: equal ordinals are one object, so equality is
+identity, and :func:`descend` memoizes each step on the node it leaves, a
+lazily filled transition table shared by every walk.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "Ordinal",
@@ -45,15 +49,19 @@ class Ordinal:
 
     ``terms`` is a tuple of ``(exponent, coefficient)`` pairs with strictly
     decreasing exponents and coefficients >= 1; the empty tuple denotes 0.
-    Instances are immutable, hashable and totally ordered.  Use the module
+    Instances are immutable, hashable, totally ordered and interned: building
+    the same terms twice returns the same object.  Use the module
     constructors (:func:`from_int`, :func:`omega_power`, :func:`nat_multiple`,
     :func:`parse_ordinal`) rather than building term lists by hand.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_next")
 
-    def __init__(self, terms: Tuple[Tuple["Ordinal", int], ...] = ()):
+    def __new__(cls, terms: Tuple[Tuple["Ordinal", int], ...] = ()):
         terms = tuple(terms)
+        x = _INTERNED.get(terms)
+        if x is not None:
+            return x
         prev: Optional[Ordinal] = None
         for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
@@ -63,8 +71,21 @@ class Ordinal:
             if prev is not None and compare(exp, prev) >= 0:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
-        self.terms = terms
-        self._hash: Optional[int] = None
+        x = super().__new__(cls)
+        x.terms = terms
+        # naturals hash like the ints they equal, keeping dict semantics
+        # consistent with __eq__'s int coercion
+        if x.is_natural:
+            x._hash = hash(x.as_int())
+        else:
+            x._hash = hash(tuple((hash(e), c) for e, c in terms))
+        x._next = {}  # descend's memo: entry n -> next residual
+        # setdefault keeps one object when two threads miss together
+        return _INTERNED.setdefault(terms, x)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __new__, landing on the interned node
+        return (Ordinal, (self.terms,))
 
     # -- structure ----------------------------------------------------
 
@@ -99,7 +120,7 @@ class Ordinal:
             other = from_int(other)
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return compare(self, other) == 0
+        return self is other
 
     def __lt__(self, other):
         return compare(self, as_ordinal(other)) < 0
@@ -114,13 +135,6 @@ class Ordinal:
         return compare(self, as_ordinal(other)) >= 0
 
     def __hash__(self) -> int:
-        # naturals hash like the ints they equal, keeping dict semantics
-        # consistent with __eq__'s int coercion
-        if self._hash is None:
-            if self.is_natural:
-                self._hash = hash(self.as_int())
-            else:
-                self._hash = hash(tuple((hash(e), c) for e, c in self.terms))
         return self._hash
 
     # -- arithmetic sugar ---------------------------------------------
@@ -137,6 +151,8 @@ class Ordinal:
     def __str__(self) -> str:
         return format_ordinal(self)
 
+
+_INTERNED: Dict[Tuple[Tuple[Ordinal, int], ...], Ordinal] = {}
 
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
@@ -160,6 +176,8 @@ def as_ordinal(x) -> Ordinal:
 
 def compare(x: Ordinal, y: Ordinal) -> int:
     """Three-way comparison: -1, 0 or 1 as x <, ==, > y."""
+    if x is y:
+        return 0
     for (e1, c1), (e2, c2) in zip(x.terms, y.terms):
         k = compare(e1, e2)
         if k != 0:
@@ -286,7 +304,7 @@ def fundamental(x: Ordinal, n: int) -> Ordinal:
                 f"normal form of the value at {n} runs past "
                 f"{_EXPANSION_LIMIT} terms; use a smaller index"
             )
-        if compare(e, ONE) == 0:
+        if e is ONE:
             if n > 1:
                 acc.append((ZERO, n - 1))
             break
@@ -300,18 +318,20 @@ def fundamental(x: Ordinal, n: int) -> Ordinal:
     return Ordinal(tuple(acc))
 
 
-@lru_cache(maxsize=None)
 def descend(x: Ordinal, n: int) -> Ordinal:
     """One descent step of the uniform-family system at entry n.
 
     For a successor this is the predecessor (independent of n); for a limit it
-    is fundamental(x, n).  Zero cannot be descended.
+    is fundamental(x, n).  Zero cannot be descended.  The step is memoized on
+    the node x itself.
     """
-    if x.is_zero:
-        raise ValueError("cannot descend below 0")
-    if x.is_successor:
-        return predecessor(x)
-    return fundamental(x, n)
+    nxt = x._next.get(n)
+    if nxt is None:
+        if x.is_zero:
+            raise ValueError("cannot descend below 0")
+        nxt = predecessor(x) if x.is_successor else fundamental(x, n)
+        x._next[n] = nxt
+    return nxt
 
 
 FUNDAMENTAL_SCHEMES = ("wainer",)
@@ -421,7 +441,7 @@ def parse_ordinal(text: str) -> Ordinal:
 def _format_exponent(e: Ordinal) -> str:
     if e.is_natural:
         return str(e.as_int())
-    if compare(e, OMEGA) == 0:
+    if e is OMEGA:
         return "w"
     return "(" + format_ordinal(e) + ")"
 
@@ -435,7 +455,7 @@ def format_ordinal(x: Ordinal) -> str:
         if e.is_zero:
             parts.append(str(c))
             continue
-        if compare(e, ONE) == 0:
+        if e is ONE:
             base = "w"
         else:
             base = "w^" + _format_exponent(e)

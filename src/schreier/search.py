@@ -18,7 +18,6 @@ from .certificates import Certificate, hereditary_predicate, make_certificate
 from .colorings import Coloring
 from .families import (
     FamilySpec,
-    _schreier_star_parts,
     iter_union_schreier,
     parse_family,
     star_closure,
@@ -115,7 +114,15 @@ def homogenize(spec: FamilySpec, coloring: Coloring, window: Window,
         "target": target,
         "order": "lex",
     }
+    _record_palette(payload, coloring)
     return make_certificate("Homogeneous", spec.literal(), window, L, payload)
+
+
+def _record_palette(payload, coloring: Coloring) -> None:
+    # the 2-colour default stays implicit, so those certificates keep
+    # their bytes; any other palette is needed to rebuild the coloring
+    if coloring.colors != 2:
+        payload["colors"] = coloring.colors
 
 
 @dataclass(frozen=True)
@@ -227,6 +234,7 @@ def homogenize_stream(spec: FamilySpec, coloring: Coloring,
             "order": "stream",
             "status": status,
         }
+        _record_palette(payload, coloring)
         cert = make_certificate("Homogeneous", spec.literal(), cw, prefix,
                                 payload)
     labels_flat = tuple((m, c) for m, c in zip(prefix, [color] * len(prefix)))
@@ -389,23 +397,6 @@ def _as_level(xi) -> int:
     return n
 
 
-def _fast_system_star(level: int, t) -> bool:
-    """Never-stuck test specialized to the benchmark levels in use.
-
-    Equivalent to the residual walk (tested exhaustively against it) but
-    free of per-element ordinal bookkeeping: after the head, the walk is
-    head-1 unconstrained positions followed by at most head-1 blocks,
-    each sized by its own first element, with a partial final block fine.
-    """
-    if not t:
-        return True
-    if level == 0:
-        return len(t) <= 1
-    if level == 1:
-        return len(t) <= t[0]
-    return _schreier_star_parts(t, t[0]) < t[0]
-
-
 def _witnessed_prefixes(level: int, window: Window):
     """Nonempty initial segments of benchmark members inside the window.
 
@@ -438,15 +429,11 @@ def _transfer_containments(level: int, window: Window):
         raise ValueError("window too small to drop two elements")
     L = ground[2:]
     level_ord = as_ordinal(level)
-    idx = Window(1, len(L))
-    shift = L[0] - 1 if L == tuple(range(L[0], L[0] + len(L))) else None
+    sys_ord = omega_power(level_ord)
     spread_checked = 0
-    for s in iter_union_schreier(level_ord, idx):
-        if shift is not None:
-            t = tuple(x + shift for x in s)
-        else:
-            t = spread(s, L)
-        if not _fast_system_star(level, t):
+    for s in iter_union_schreier(level_ord, Window(1, len(L))):
+        t = tuple(L[i - 1] for i in s)
+        if not uniform_star(sys_ord, t):
             return {
                 "ok": False,
                 "reason": f"spread of {s} lands outside the star closure",

@@ -16,8 +16,10 @@ from schreier.certificates import (
     transcript_digest,
     verify_certificate,
 )
-from schreier.colorings import Coloring, get_coloring
+from schreier.colorings import Coloring, get_coloring, hash_coloring
+from schreier.families import parse_family
 from schreier.finsets import Window
+from schreier.search import homogenize
 
 
 def good_homogeneous():
@@ -82,6 +84,35 @@ def test_hash_name_embeds_seed():
         {"coloring": c.name, "color": c((1,)), "target": 2})
     ok, reason = verify_certificate(cert)
     assert ok == (c((1,)) == c((2,))), reason
+
+
+def three_colour_cert(seed):
+    return homogenize(parse_family("A:2"), hash_coloring(seed, colors=3),
+                      Window(1, 18), 4)
+
+
+def test_three_colour_certificates_verify_offline():
+    for seed in range(20):
+        cert = three_colour_cert(seed)
+        assert cert.payload_dict()["colors"] == 3
+        assert verify_certificate(from_json(to_json(cert))) == (True, "ok"), seed
+
+
+@pytest.mark.parametrize("colors", [0, True, "3"])
+def test_forged_palette_rejected(colors):
+    cert = three_colour_cert(0)
+    forged = make_certificate(
+        "Homogeneous", cert.family, cert.window, cert.witness,
+        dict(cert.payload_dict(), colors=colors))
+    ok, reason = verify_certificate(forged)
+    assert not ok and "colors" in reason
+
+
+def test_unreadable_hash_seed_rejected():
+    cert = make_certificate(
+        "Homogeneous", "A:1", Window(1, 9), (1, 2),
+        {"coloring": "hash[x]", "color": 1, "target": 2})
+    assert not verify_certificate(cert)[0]
 
 
 def test_hereditary_predicate_forms():

@@ -81,7 +81,10 @@ def test_external_eof_raises():
 
 
 def test_external_garbage_raises():
-    cmd = f"{sys.executable} -c \"print('purple', flush=True); import time; time.sleep(5)\""
+    # the child blocks on its input after the garbage reply, so it exits at
+    # the EOF close() sends instead of holding close() up
+    cmd = (f"{sys.executable} -c \"import sys; print('purple', flush=True); "
+           "sys.stdin.read()\"")
     ext = ExternalColoring(cmd)
     try:
         with pytest.raises(ColoringProtocolError):

@@ -6,6 +6,7 @@ size-equals-min family on [1,n] has Fibonacci(n) members; the two-block
 variant is a convolution of boundary-split counts).
 """
 
+import time
 from functools import lru_cache
 from math import comb
 
@@ -130,6 +131,15 @@ def test_frozen_wide_counts():
     for text, count in expected.items():
         fam = MaskFamily(parse_ordinal(text), 30)
         assert fam.member_count() == count, text
+
+
+def test_window_over_member_limit_refused():
+    # A:w*2 on [1,36] has 939,683,219 members (7 GiB of masks); the count
+    # pass alone must refuse it, well before assembly could run
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="939683219 members .* GiB"):
+        MaskFamily(parse_ordinal("w*2"), 36)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sort_masks_orders_numerically():

@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -189,6 +194,36 @@ def test_parse_rejects(bad):
 @given(deep_ordinals)
 def test_format_parse_roundtrip(x):
     assert parse_ordinal(format_ordinal(x)) == x
+
+
+@given(deep_ordinals)
+def test_equal_ordinals_are_one_object(x):
+    assert parse_ordinal(format_ordinal(x)) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert copy.deepcopy(x) is x
+
+
+def test_interning_is_one_object_across_threads():
+    # threads racing to build the same new ordinals all get one node each
+    texts = [f"w^{k}*3 + w*{k} + 7" for k in range(300, 500)]
+    results = []
+
+    def build():
+        results.append([parse_ordinal(t) for t in texts])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(r[i] is results[0][i] for r in results for i in range(len(texts)))
 
 
 def test_format_examples():

@@ -292,19 +292,6 @@ def test_chain_needs_min_at_least_depth():
 # -- transfers --------------------------------------------------------
 
 
-def test_fast_star_matches_residual_walk():
-    from schreier.families import uniform_star
-    from schreier.ordinals import omega_power
-    from schreier.search import _fast_system_star
-
-    for level in (0, 1, 2):
-        sys_ord = omega_power(level)
-        for k in range(0, 7):
-            for s in combinations(range(1, 15), k):
-                assert _fast_system_star(level, s) == uniform_star(sys_ord, s), \
-                    (level, s)
-
-
 def test_transfer_shift_level_one():
     w = Window(1, 15)
     cert = schreier_transfer(1, w)
@@ -317,6 +304,26 @@ def test_transfer_shift_level_one():
         star_closure(parse_family("B:1"), w)) - 1  # empty prefix skipped
     ok, reason = verify_certificate(cert)
     assert ok, reason
+
+
+# witness, spread and closure counts and transcript hash on a thinned
+# ground, where the spread side relabels through a ground with gaps
+THINNED = Window(1, 16, (1, 2, 3, 5, 6, 8, 9, 10, 12, 13, 15, 16))
+THINNED_TRANSFERS = [
+    (0, 10, 12, "6566b3249e553ce54ae68bbd073eb8e77bd7238bbbb55f3b74024ab7f3afea44"),
+    (1, 143, 239, "978888ffc4c45bab277b59afd60a4e5e71dcca369122ed2ac7a524690671b7e2"),
+    (2, 488, 242, "d24e72316ea11960dfdb8746f0c9f4620c1333f8c89971fedbdbcd892f94c334"),
+]
+
+
+@pytest.mark.parametrize("level,spread_n,closure_n,digest", THINNED_TRANSFERS)
+def test_transfer_thinned_ground_pinned(level, spread_n, closure_n, digest):
+    cert = schreier_transfer(level, THINNED)
+    p = cert.payload_dict()
+    assert cert.witness == (3, 5, 6, 8, 9, 10, 12, 13, 15, 16)
+    assert (p["spread_checked"], p["closure_checked"]) == (spread_n, closure_n)
+    assert cert.transcript_hash == digest
+    assert verify_certificate(cert)[0]
 
 
 def test_transfer_level_zero_trivial():
