@@ -1,8 +1,9 @@
 """Tour the indexed families: membership, sections, decompositions.
 
 The family literal grammar is the one the CLI uses: A:<ordinal> for a
-single level, B:<ordinal> for a union level, F:<ordinal> for the fast
-hierarchy, and the named specimens exL, exR, ex112.
+single level, B:<ordinal> for the same system family at w^<ordinal>,
+F:<ordinal> for a level of the union-built hierarchy, and the named
+specimens exL, exR, ex112.
 """
 
 from schreier import (

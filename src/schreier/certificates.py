@@ -163,7 +163,7 @@ def _verify_homogeneous(cert: Certificate, coloring: Optional[Coloring]):
                 coloring = hash_coloring(int(name[5:-1]), colors)
             else:
                 coloring = get_coloring(name, int(p.get("seed", 0)))
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             return False, str(e)
     for s in subsets_of(cert.witness, include_empty=False):
         if spec.member(s) and coloring(s) != color:

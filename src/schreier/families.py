@@ -25,7 +25,6 @@ the operations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .finsets import (EMPTY, FinSet, Window, mask_of, set_of_mask,
@@ -376,7 +375,7 @@ def enumerate_family(spec: FamilySpec, window: Window) -> List[FinSet]:
     Exhaustive over subsets of the ground set, so the ground set is capped
     at 25 elements; wider windows belong to the vectorized array interface.
     """
-    _cap(window)
+    _cap(len(window.ground))
     return [s for s in window.subsets() if spec.member(s)]
 
 
@@ -385,7 +384,7 @@ def section(spec: FamilySpec, m: int, window: Window) -> List[FinSet]:
     if m not in window:
         raise ValueError(f"{m} is not in the window ground set")
     tail = window.tail(m)
-    _cap_len(len(tail))
+    _cap(len(tail))
     return [s for s in subsets_of(tail) if spec.member((m,) + s)]
 
 
@@ -449,121 +448,59 @@ def check_sperner(spec: FamilySpec, window: Window):
     return True, None
 
 
-def _cap(window: Window, limit: int = 25):
-    _cap_len(len(window.ground), limit)
-
-
-def _cap_len(n: int, limit: int = 25):
-    if n > limit:
+def _cap(n: int):
+    if n > 25:
         raise ValueError(
             f"ground set of {n} elements is too wide for exhaustive subset "
-            f"enumeration (cap {limit}); use the array interface"
+            f"enumeration (cap 25); use the array interface"
         )
 
 
 # -- union-hierarchy enumeration --------------------------------------
 #
-# Members are generated through their greedy decompositions, which are
-# canonical: every intermediate block is full (the longest member prefix
-# available) and only the last block may stop short.  Each member therefore
-# appears exactly once and no dedupe pass is needed at successor levels.
+# One depth-first walk of the prefix tree over the ground set lists every
+# level in lex order.  Prefix closure (above): no member lies below a
+# non-member.  Appended-element independence: for nonempty s, whether
+# s + (x,) is a member does not depend on x > max s.  By induction on the
+# level: at 0 two elements never are; at a successor the greedy blocks of
+# s stay, only the last can absorb x, which by induction does not depend
+# on x, and the block budget s[0] is unchanged; at a limit the approximant
+# index runs to n <= s[0], also unchanged.  So one test per prefix, on its
+# first child, decides all of its children.
 
 
 def enumerate_union_schreier(a, window: Window) -> List[FinSet]:
     """All union-hierarchy members at level a inside the window, shortlex."""
-    return sorted(iter_union_schreier(a, window), key=shortlex_key)
+    # a stable sort by size turns the walk's lex order into shortlex
+    return sorted(iter_union_schreier(a, window), key=len)
 
 
 def iter_union_schreier(a, window: Window) -> Iterator[FinSet]:
-    """Stream the level-a members inside the window, unordered.
-
-    At successor levels each member comes out exactly once, through its
-    greedy decomposition; limit levels dedupe across approximants.
-    """
+    """Stream the level-a members inside the window in lex order, each once."""
     a = as_ordinal(a)
+    # the test is fixed once per call: closed forms at levels 1-2, as in
+    # union_schreier_member, and the greedy cover elsewhere
+    if a == 1:
+        member = lambda s: len(s) <= s[0]
+    elif a == 2:
+        member = lambda s: _schreier_star_parts(s) <= s[0]
+    else:
+        member = lambda s: _greedy_covers(a, s, {})
     ground = window.ground
-    if a.is_zero:
-        yield from ((g,) for g in ground)
-        return
-    if a.is_limit:
-        seen = set()
-        for n in range(1, (ground[-1] if ground else 0) + 1):
-            lvl = wainer_fundamental(a, n)
-            sub_ground = tuple(g for g in ground if g >= n)
-            if not sub_ground:
-                continue
-            sub = Window(window.lo, window.hi, sub_ground)
-            for s in iter_union_schreier(lvl, sub):
-                if s not in seen:
-                    seen.add(s)
-                    yield s
-        return
-    b = predecessor(a)
-    if not _has_block_generator(b):
-        # no structural generator at this level: filter exhaustively
-        _cap_len(len(ground), 20)
-        yield from (s for s in window.subsets() if s and union_schreier_member(a, s))
-        return
-    for start in range(len(ground)):
-        yield from _gen_blocks(b, ground, start, ground[start], EMPTY)
-
-
-def _has_block_generator(b: Ordinal) -> bool:
-    return b.is_natural and b.as_int() <= 1
-
-
-def _gen_blocks(
-    b: Ordinal,
-    ground: Tuple[int, ...],
-    start: int,
-    budget: int,
-    acc: FinSet,
-) -> Iterator[FinSet]:
-    """Extend acc with blocks at level b beginning at ground[start].
-
-    Every block emitted closes a member (the last block may be any level-b
-    member); only full blocks are extended with further blocks, which keeps
-    the decomposition greedy-canonical and the output duplicate free.
-    """
-    if budget == 0:
-        return
-    for blk, was_full in _blocks_at(b, ground, start):
-        s = acc + blk
-        yield s
-        if was_full:
-            nxt = _index_above(ground, blk[-1])
-            for start2 in range(nxt, len(ground)):
-                yield from _gen_blocks(b, ground, start2, budget - 1, s)
-
-
-def _blocks_at(b: Ordinal, ground: Tuple[int, ...], start: int):
-    """Yield (block, is_full) for level-b blocks beginning at ground[start].
-
-    is_full marks blocks the greedy scan would not stop short at, i.e. the
-    block already holds as many elements as its minimum allows.
-    """
-    if b.is_zero:
-        yield (ground[start],), True
-        return
-    if not b.is_natural or b.as_int() != 1:
-        raise NotImplementedError(
-            "union-hierarchy block generation is implemented for levels 0..2"
-        )
-    # level-1 blocks at value v: {v} plus k-1 further elements, k <= v
-    v = ground[start]
-    tail = ground[start + 1 :]
-    for k in range(1, min(v, len(tail) + 1) + 1):
-        if k == 1:
-            yield (v,), v == 1
+    n = len(ground)
+    # a frame per depth: a prefix and its children's indices left to visit;
+    # singletons, the root's children, are members at every level
+    stack = [(EMPTY, iter(range(n)))]
+    while stack:
+        s, ks = stack[-1]
+        for k in ks:
+            t = s + (ground[k],)
+            yield t
+            if k + 1 < n and member(t + (ground[k + 1],)):
+                stack.append((t, iter(range(k + 1, n))))
+                break
         else:
-            for rest in combinations(tail, k - 1):
-                yield (v,) + rest, k == v
-
-
-def _index_above(ground: Tuple[int, ...], value: int) -> int:
-    import bisect
-
-    return bisect.bisect_right(ground, value)
+            stack.pop()
 
 
 def spread_union_schreier(a, ground_list: Tuple[int, ...]) -> List[FinSet]:

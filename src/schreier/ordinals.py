@@ -19,7 +19,7 @@ lazily filled transition table shared by every walk.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 __all__ = [
     "Ordinal",
@@ -59,18 +59,20 @@ class Ordinal:
 
     def __new__(cls, terms: Tuple[Tuple["Ordinal", int], ...] = ()):
         terms = tuple(terms)
-        x = _INTERNED.get(terms)
-        if x is not None:
-            return x
-        prev: Optional[Ordinal] = None
+        # types are checked before the lookup, because the table's keys
+        # compare numerically: ((ZERO, 1.0),) would find ONE.  A key that
+        # passes and hits has the stored, already ordered exponents.
         for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
                 raise TypeError("exponents must be Ordinal instances")
             if not isinstance(coeff, int) or coeff < 1:
                 raise ValueError("coefficients must be integers >= 1")
-            if prev is not None and compare(exp, prev) >= 0:
+        x = _INTERNED.get(terms)
+        if x is not None:
+            return x
+        for (big, _), (small, _) in zip(terms, terms[1:]):
+            if compare(small, big) >= 0:
                 raise ValueError("exponents must be strictly decreasing")
-            prev = exp
         x = super().__new__(cls)
         x.terms = terms
         # naturals hash like the ints they equal, keeping dict semantics

@@ -482,6 +482,33 @@ def schreier_transfer(xi, window: Window,
                             payload)
 
 
+def _transfer_route(level: int, sigma: Optional[Ordinal]) -> str:
+    """The route for a symbolic index against the boundary w^level + 1.
+
+    "direct" above it or for an infinite index (None), "lift" at it; an
+    index below it raises ValueError.
+    """
+    if sigma is None:
+        return "direct"
+    c = compare(as_ordinal(sigma), add(omega_power(as_ordinal(level)), ONE))
+    if c < 0:
+        raise ValueError("symbolic index below the boundary value")
+    return "direct" if c > 0 else "lift"
+
+
+def _spread_into(level: int, L: FinSet, H) -> Tuple[int, Optional[FinSet]]:
+    """Spread each level member onto L and test it with H, in lex order.
+
+    Returns the number that passed and the first that failed, or None.
+    """
+    checked = 0
+    for s in iter_union_schreier(as_ordinal(level), Window(1, len(L))):
+        if not H(spread(s, L)):
+            return checked, s
+        checked += 1
+    return checked, None
+
+
 def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
                          window: Window, target: int = 8,
                          max_candidates: int = 2000) -> Optional[Certificate]:
@@ -497,14 +524,7 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     """
     level = _as_level(xi)
     H = hereditary_predicate(into_desc)
-    boundary = add(omega_power(as_ordinal(level)), ONE)
-    if sigma is None:
-        route = "direct"
-    else:
-        c = compare(as_ordinal(sigma), boundary)
-        if c < 0:
-            raise ValueError("symbolic index below the boundary value")
-        route = "direct" if c > 0 else "lift"
+    route = _transfer_route(level, sigma)
     if route == "direct":
         pred = H
         extra_drop = 0
@@ -513,7 +533,6 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
             return (not t) or H(t[1:])
         extra_drop = 2
 
-    level_ord = as_ordinal(level)
     bspec = parse_family(f"B:{level}")
     ground = window.ground
     size = target + 2 + extra_drop
@@ -526,14 +545,8 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
         if any(bspec.down(t) and not pred(t) for t in subsets_of(cand)):
             continue
         L = cand[2 + extra_drop:]
-        checked = 0
-        good = True
-        for s in iter_union_schreier(level_ord, Window(1, len(L))):
-            if not H(spread(s, L)):
-                good = False
-                break
-            checked += 1
-        if not good:
+        checked, escaped = _spread_into(level, L, H)
+        if escaped is not None:
             continue
         payload = {
             "variant": "large-index",
@@ -580,26 +593,20 @@ def recheck_transfer(cert: Certificate):
             return False, str(e)
         sigma_text = p.get("sigma", "")
         route = p.get("route")
-        boundary = add(omega_power(as_ordinal(level)), ONE)
-        if sigma_text == "infinity":
-            expected = "direct"
-        else:
-            try:
-                c = compare(parse_ordinal(sigma_text), boundary)
-            except Exception as e:
-                return False, f"unreadable symbolic index: {e}"
-            if c < 0:
-                return False, "symbolic index below the boundary value"
-            expected = "direct" if c > 0 else "lift"
+        try:
+            sigma = (None if sigma_text == "infinity"
+                     else parse_ordinal(sigma_text))
+        except Exception as e:
+            return False, f"unreadable symbolic index: {e}"
+        try:
+            expected = _transfer_route(level, sigma)
+        except ValueError as e:
+            return False, str(e)
         if route != expected:
             return False, f"route {route!r} disagrees with the index"
-        checked = 0
-        for s in iter_union_schreier(as_ordinal(level),
-                                     Window(1, len(cert.witness))):
-            t = spread(s, cert.witness)
-            if not H(t):
-                return False, f"spread of {s} escapes the target predicate"
-            checked += 1
+        checked, escaped = _spread_into(level, cert.witness, H)
+        if escaped is not None:
+            return False, f"spread of {escaped} escapes the target predicate"
         if checked != p.get("spread_checked"):
             return False, "recorded check counts disagree"
         return True, "ok"

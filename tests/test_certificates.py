@@ -115,6 +115,14 @@ def test_unreadable_hash_seed_rejected():
     assert not verify_certificate(cert)[0]
 
 
+def test_unreadable_registry_seed_rejected():
+    cert = make_certificate(
+        "Homogeneous", "A:2", Window(1, 20), (1, 3, 5, 7),
+        {"coloring": "parity-sum", "color": 1, "target": 4, "seed": [1]})
+    ok, reason = verify_certificate(cert)
+    assert not ok and reason
+
+
 def test_hereditary_predicate_forms():
     assert hereditary_predicate("all")((4, 9))
     down = hereditary_predicate("down:A:2")

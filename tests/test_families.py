@@ -221,21 +221,43 @@ def test_system_power_inside_union_level(a):
             assert union_schreier_member(a, s)
 
 
-@pytest.mark.parametrize("a_text", ["1", "2", "3", "w"])
-def test_union_enumeration_matches_filter(a_text):
+THINNED = Window(1, 14, (1, 2, 4, 5, 7, 8, 10, 11, 13, 14))
+
+
+@pytest.mark.parametrize("a_text, w", [
+    *(pytest.param(t, Window(1, 10), id=t) for t in
+      ["1", "2", "3", "w", "w+1", "w*2", "w^2", "w^3"]),
+    pytest.param("w^w", Window(1, 9), id="w^w"),
+    *(pytest.param(t, THINNED, id=f"{t}-thinned") for t in ["1", "2", "w"]),
+])
+def test_union_enumeration_matches_filter(a_text, w):
     a = parse_ordinal(a_text)
-    w = Window(1, 10)
     got = enumerate_union_schreier(a, w)
     expect = sorted(
         (s for s in w.subsets() if s and union_schreier_member(a, s)),
         key=lambda s: (len(s), s),
     )
     assert got == expect
+    stream = list(iter_union_schreier(a, w))
+    assert stream == sorted(set(stream))  # lex order, each member once
 
 
 def test_union_stream_no_duplicates():
     out = list(iter_union_schreier(2, Window(1, 12)))
     assert len(out) == len(set(out))
+
+
+@pytest.mark.parametrize("a_text",
+                         ["0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^w"])
+def test_union_appended_element_independence(a_text):
+    # the enumeration walk tests one child per prefix: whether s + (x,) is
+    # a member must not depend on which x > max s is appended
+    a = parse_ordinal(a_text)
+    for s in subsets_of(12):
+        if s:
+            got = {union_schreier_member(a, s + (x,))
+                   for x in range(s[-1] + 1, 14)}
+            assert len(got) == 1, s
 
 
 def test_spread_union():

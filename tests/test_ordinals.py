@@ -144,6 +144,15 @@ def test_normal_form_enforced():
         from_int(-1)
 
 
+@pytest.mark.parametrize("terms", [((ZERO, 1.0),), ((ZERO, 7.0),), ((0, 1),)])
+def test_malformed_terms_rejected_whatever_is_interned(terms):
+    # the intern table's keys compare numerically: ((ZERO, 1.0),) and
+    # ((0, 1),) equal the key of ONE, ((ZERO, 7.0),) that of 7
+    assert from_int(7) is parse_ordinal("7")
+    with pytest.raises((TypeError, ValueError)):
+        Ordinal(terms)
+
+
 def test_classify_and_predecessor():
     kind, pred = classify(o("w*2 + 3"))
     assert kind == "successor" and pred == o("w*2 + 2")
