@@ -103,7 +103,7 @@ def from_json(data) -> Certificate:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise CertificateError(f"certificate is not JSON: {e}") from e
     if not isinstance(data, dict):
         raise CertificateError("a certificate must be a JSON object")
@@ -155,6 +155,8 @@ def _verify_homogeneous(cert: Certificate, coloring: Optional[Coloring]):
     # bool is an int subclass, so test the exact type
     if type(colors) is not int or colors < 1:
         return False, f"colors must be an integer >= 1, got {colors!r}"
+    if not isinstance(name, str):
+        return False, f"coloring must be a name, got {name!r}"
     if coloring is None:
         if name.startswith("external:"):
             return False, "external coloring requires a caller-supplied oracle"

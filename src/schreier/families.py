@@ -17,15 +17,16 @@ family of sets with |s| = min s.
 
 Membership predicates use the infinite ground line: a star test asks for an
 extension somewhere in the naturals, not merely inside a window.  Windowed
-enumeration is exhaustive over subsets of the window's ground set; closures
-computed on a window only count witnesses inside the window (documented on
-the operations).
+enumeration is exhaustive over the window's ground set: a prefix walk for
+the system families and the union levels, a subset filter for the rest;
+closures computed on a window only count witnesses inside the window
+(documented on the operations).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .finsets import (EMPTY, FinSet, Window, mask_of, set_of_mask,
                       shortlex_key, subsets_of)
@@ -152,10 +153,13 @@ def _longest_block(b: Ordinal, s: FinSet, i: int, cache) -> int:
     if b.is_zero:
         out = 1
     elif b.is_limit:
-        out = max(
-            _longest_block(wainer_fundamental(b, n), s, i, cache)
-            for n in range(1, s[i] + 1)
-        )
+        # the longest over the approximants n <= s[i]; none can pass the
+        # end of s, so stop at the first that reaches it
+        out = 0
+        for n in range(1, s[i] + 1):
+            out = max(out, _longest_block(wainer_fundamental(b, n), s, i, cache))
+            if out == len(s) - i:
+                break
     else:
         c = predecessor(b)
         pos = i
@@ -372,10 +376,14 @@ def _down_member(spec: FamilySpec, t: FinSet) -> bool:
 def enumerate_family(spec: FamilySpec, window: Window) -> List[FinSet]:
     """All members whose elements lie in the window's ground set, shortlex.
 
-    Exhaustive over subsets of the ground set, so the ground set is capped
+    System families are listed by the count-pruned prefix walk, other
+    kinds by filtering every subset.  Either way the ground set is capped
     at 25 elements; wider windows belong to the vectorized array interface.
     """
     _cap(len(window.ground))
+    xi = spec.system_ordinal()
+    if xi is not None:
+        return _system_members(xi, window.ground)
     return [s for s in window.subsets() if spec.member(s)]
 
 
@@ -385,6 +393,9 @@ def section(spec: FamilySpec, m: int, window: Window) -> List[FinSet]:
         raise ValueError(f"{m} is not in the window ground set")
     tail = window.tail(m)
     _cap(len(tail))
+    xi = spec.system_ordinal()
+    if xi is not None:
+        return [] if xi is ZERO else _system_members(descend(xi, m), tail)
     return [s for s in subsets_of(tail) if spec.member((m,) + s)]
 
 
@@ -394,6 +405,12 @@ def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
     Only witnesses inside the window count, so a set star-true over the
     infinite ground line may be absent here.
     """
+    xi = spec.system_ordinal()
+    if xi is not None:
+        _cap(len(window.ground))
+        # every node the walk keeps lies below a member inside the window
+        return sorted([EMPTY] + list(_system_walk(xi, window.ground)),
+                      key=len)
     seen = {EMPTY: None}
     for s in enumerate_family(spec, window):
         for k in range(1, len(s) + 1):
@@ -456,51 +473,156 @@ def _cap(n: int):
         )
 
 
-# -- union-hierarchy enumeration --------------------------------------
+# -- prefix walks ------------------------------------------------------
 #
-# One depth-first walk of the prefix tree over the ground set lists every
-# level in lex order.  Prefix closure (above): no member lies below a
-# non-member.  Appended-element independence: for nonempty s, whether
-# s + (x,) is a member does not depend on x > max s.  By induction on the
-# level: at 0 two elements never are; at a successor the greedy blocks of
-# s stay, only the last can absorb x, which by induction does not depend
-# on x, and the block budget s[0] is unchanged; at a limit the approximant
-# index runs to n <= s[0], also unchanged.  So one test per prefix, on its
-# first child, decides all of its children.
+# Both hierarchies are listed by one depth-first walk of the prefix tree
+# over a ground list, whose frames carry a state.  Preorder on that tree
+# is lex order, and a stable sort by size turns it into shortlex.
+
+_END = object()
+
+
+def _lex_walk(ground: Sequence[int], root, step, closed) -> Iterator[FinSet]:
+    """Every node below the root that step keeps, in lex order.
+
+    step(state, t, k) gives the state of t = s + (ground[k],), a child of
+    s in that state.  It returns None to drop t and everything under it,
+    and _END to drop t and its later siblings too.  A node whose state is
+    `closed` is yielded but not expanded; neither is a closed root.
+    """
+    n = len(ground)
+    singles = [(x,) for x in ground]
+    stack = [] if root is closed else [(EMPTY, root, iter(range(n)))]
+    while stack:
+        s, state, ks = stack[-1]
+        for k in ks:
+            t = s + singles[k]
+            c = step(state, t, k)
+            if c is None:
+                continue
+            if c is _END:
+                stack.pop()
+                break
+            yield t
+            if c is not closed:
+                stack.append((t, c, iter(range(k + 1, n))))
+                break
+        else:
+            stack.pop()
+
+
+def _member_counts(xi: Ordinal, ground: Sequence[int], j: int = 0):
+    """Counts of the members of residual r over ground[i:], keyed (r, i),
+    for every pair reached from (xi, j), in Python ints."""
+    n = len(ground)
+    count = {}
+
+    def fill(r: Ordinal, i: int) -> int:
+        # a state's entries run from its least start to n; extend them down
+        # to i in a loop, so the recursion follows descents only
+        got = count.get((r, i))
+        if got is None:
+            if r is ZERO:
+                got = count[r, i] = 1  # the empty set
+            else:
+                m = i
+                while m < n and (r, m) not in count:
+                    m += 1
+                got = count.setdefault((r, m), 0)  # m == n: nothing left
+                for m in range(m - 1, i - 1, -1):
+                    got += fill(descend(r, ground[m]), m + 1)
+                    count[r, m] = got
+        return got
+
+    fill(xi, j)
+    return count
+
+
+def _system_walk(xi: Ordinal, ground: Sequence[int]) -> Iterator[FinSet]:
+    """The nonempty initial segments of the members of the system family
+    at xi inside the ground list, in lex order.
+
+    A node's state is its residual, so each node costs one descend, and a
+    child is entered only when the per-call count table gives it members.
+    """
+    count = _member_counts(xi, ground)
+
+    def step(r, t, k):
+        d = descend(r, ground[k])
+        if count[d, k + 1]:
+            return d
+        return None if count[r, k + 1] else _END
+
+    return _lex_walk(ground, xi, step, ZERO)
+
+
+def _system_members(xi: Ordinal, ground: Sequence[int]) -> List[FinSet]:
+    """Members of the system family at xi inside the ground list, shortlex.
+
+    The walk keeps only nodes below a member, so a non-member node has a
+    child, while a member has none: the members are the nodes not
+    followed by a longer one.
+    """
+    if xi is ZERO:
+        return [EMPTY]
+    nodes = list(_system_walk(xi, ground))
+    return sorted([t for t, u in zip(nodes, nodes[1:] + [EMPTY])
+                   if len(u) <= len(t)], key=len)
+
+
+# Prefix closure (see the union hierarchy above): no union member lies
+# below a non-member.  Appended-element independence: for nonempty s,
+# whether s + (x,) is a member does not depend on x > max s.  By induction
+# on the level: at 0 two elements never are; at a successor the greedy
+# blocks of s stay, only the last can absorb x, which by induction does
+# not depend on x, and the block budget s[0] is unchanged; at a limit the
+# approximant index runs to n <= s[0], also unchanged.  So one test per
+# prefix, on its first child, decides all of its children.
+
+
+def _union_test(a: Ordinal) -> Callable[[FinSet], bool]:
+    """union_schreier_member at level a on nonempty sets, dispatched once."""
+    if a == 1:
+        return lambda s: len(s) <= s[0]
+    if a == 2:
+        return lambda s: _schreier_star_parts(s) <= s[0]
+    return lambda s: _greedy_covers(a, s, {})
+
+
+def _union_step(a: Ordinal, ground: Sequence[int]):
+    """Root state and step of the level-a walk over ground.
+
+    A node's state is false when its children are not members.  Levels 1
+    and 2 answer the first-child test from the prefix alone: at level 2
+    the state holds the greedy part count and where the last part ends.
+    """
+    n = len(ground)
+    if a == 1:
+        return True, lambda _, t, k: k + 1 < n and len(t) < t[0]
+    if a == 2:
+        def step(state, t, k):
+            parts, end = state
+            i = len(t) - 1
+            if i == end:  # t's last element starts a part
+                parts, end = parts + 1, i + t[i]
+            if k + 1 < n and parts + (i + 1 == end) <= t[0]:
+                return parts, end
+            return False
+        return (0, 0), step
+    member = _union_test(a)
+    return True, lambda _, t, k: k + 1 < n and member(t + (ground[k + 1],))
 
 
 def enumerate_union_schreier(a, window: Window) -> List[FinSet]:
     """All union-hierarchy members at level a inside the window, shortlex."""
-    # a stable sort by size turns the walk's lex order into shortlex
     return sorted(iter_union_schreier(a, window), key=len)
 
 
 def iter_union_schreier(a, window: Window) -> Iterator[FinSet]:
     """Stream the level-a members inside the window in lex order, each once."""
-    a = as_ordinal(a)
-    # the test is fixed once per call: closed forms at levels 1-2, as in
-    # union_schreier_member, and the greedy cover elsewhere
-    if a == 1:
-        member = lambda s: len(s) <= s[0]
-    elif a == 2:
-        member = lambda s: _schreier_star_parts(s) <= s[0]
-    else:
-        member = lambda s: _greedy_covers(a, s, {})
-    ground = window.ground
-    n = len(ground)
-    # a frame per depth: a prefix and its children's indices left to visit;
     # singletons, the root's children, are members at every level
-    stack = [(EMPTY, iter(range(n)))]
-    while stack:
-        s, ks = stack[-1]
-        for k in ks:
-            t = s + (ground[k],)
-            yield t
-            if k + 1 < n and member(t + (ground[k + 1],)):
-                stack.append((t, iter(range(k + 1, n))))
-                break
-        else:
-            stack.pop()
+    root, step = _union_step(as_ordinal(a), window.ground)
+    return _lex_walk(window.ground, root, step, False)
 
 
 def spread_union_schreier(a, ground_list: Tuple[int, ...]) -> List[FinSet]:

@@ -134,6 +134,11 @@ def set_of_mask(m: int) -> FinSet:
     return tuple(out)
 
 
+# the ground tuple of a wider window alone takes more than 8 MiB, and no
+# exhaustive operation finishes on one
+_MAX_SPAN = 1 << 20
+
+
 @dataclass(frozen=True)
 class Window:
     """Finite truncation [lo, hi], optionally thinned to a ground list."""
@@ -145,6 +150,9 @@ class Window:
     def __post_init__(self):
         if not (1 <= self.lo <= self.hi):
             raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
+        if self.hi - self.lo >= _MAX_SPAN:
+            raise ValueError(f"window [{self.lo}, {self.hi}] spans more than "
+                             f"{_MAX_SPAN} elements")
         g = self.ground
         if g is None:
             g = tuple(range(self.lo, self.hi + 1))

@@ -1,10 +1,10 @@
 """Vectorized enumeration of system families over wide windows.
 
 Finite sets are uint64 bitmasks (bit e set iff element e belongs), so a
-window may reach element 62.  For a root ordinal xi the engine walks the
-residual transition graph once to learn which (state, start) pairs are
-reachable and how many completions each has, then assembles one mask
-array per state, ordered by descending first element.  That ordering makes
+window may reach element 62.  For a root ordinal xi the engine reads the
+count table the prefix walks use, which holds every (state, start) pair
+the root reaches and how many completions each has, then assembles one
+mask array per state, ordered by descending first element.  That ordering makes
 "all members with first element > m" a prefix slice, so sections and tail
 restrictions are O(1) views into the root array.
 
@@ -19,6 +19,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from .families import _member_counts
 from .finsets import FinSet, set_of_mask
 from .ordinals import ZERO, Ordinal, as_ordinal, compare, descend
 
@@ -47,12 +48,9 @@ class MaskFamily:
         self.root_start = root_start
         if xi.is_zero:
             # the family {empty set}
-            self._minstart: Dict[Ordinal, int] = {}
-            self._cnt: Dict[Ordinal, np.ndarray] = {}
             self._root = np.zeros(1, dtype=np.uint64)
             return
-        self._discover()
-        self._count()
+        self._cnt = _member_counts(xi, range(1, hi + 1), root_start)
         members = self.member_count()
         if members > _MAX_MEMBERS:
             raise ValueError(
@@ -60,70 +58,31 @@ class MaskFamily:
                 f"of masks; the limit is {_MAX_MEMBERS} members (1 GiB)")
         self._assemble()
 
-    # -- pass 0: reachable (state, start) pairs -----------------------
-
-    def _discover(self):
-        minstart: Dict[Ordinal, int] = {self.xi: self.root_start}
-        seen = {(self.xi, self.root_start)}
-        stack = [(self.xi, self.root_start)]
-        while stack:
-            r, m = stack.pop()
-            for n in range(m + 1, self.hi + 1):
-                d = descend(r, n)
-                if d is ZERO:
-                    continue
-                if (d, n) in seen:
-                    continue
-                seen.add((d, n))
-                if d not in minstart or n < minstart[d]:
-                    minstart[d] = n
-                stack.append((d, n))
-        self._minstart = minstart
-
-    # -- pass 1: completion counts ------------------------------------
-
-    def _count(self):
-        # cnt[r][m - minstart[r]] = number of members of the state-r family
-        # with all elements in (m, hi]
-        order = sorted(self._minstart, key=cmp_to_key(compare))
-        cnt: Dict[Ordinal, np.ndarray] = {}
-        for r in order:
-            lo = self._minstart[r]
-            row = np.zeros(self.hi - lo + 1, dtype=np.int64)
-            total = 0
-            for m in range(self.hi - 1, lo - 1, -1):
-                n = m + 1
-                d = descend(r, n)
-                if d is ZERO:
-                    total += 1
-                else:
-                    total += int(cnt[d][n - self._minstart[d]])
-                row[m - lo] = total
-            cnt[r] = row
-        self._cnt = cnt
-        self._order = order
-
     def _count_at(self, r: Ordinal, m: int) -> int:
         """Members of the state-r family inside (m, hi]."""
-        lo = self._minstart[r]
-        if m < lo:
+        got = self._cnt.get((r, m))
+        if got is None:
             raise ValueError(f"start {m} below covered range for state")
-        return int(self._cnt[r][m - lo])
+        return got
 
-    # -- pass 2: mask arrays ------------------------------------------
+    # -- mask arrays ----------------------------------------------------
 
     def _assemble(self):
+        # each state is covered from the least start the root reaches it at
+        lo: Dict[Ordinal, int] = {}
+        for r, m in self._cnt:
+            if r is not ZERO and m < lo.get(r, m + 1):
+                lo[r] = m
         arrays: Dict[Ordinal, np.ndarray] = {}
-        for r in self._order:
-            lo = self._minstart[r]
+        for r in sorted(lo, key=cmp_to_key(compare)):
             chunks: List[np.ndarray] = []
-            for n in range(self.hi, lo, -1):
+            for n in range(self.hi, lo[r], -1):
                 bit = np.uint64(1 << n)
                 d = descend(r, n)
                 if d is ZERO:
                     chunks.append(np.array([bit], dtype=np.uint64))
                 else:
-                    c = self._count_at(d, n)
+                    c = self._cnt[d, n]
                     if c:
                         chunks.append(arrays[d][:c] | bit)
             arrays[r] = (

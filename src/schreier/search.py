@@ -18,12 +18,14 @@ from .certificates import Certificate, hereditary_predicate, make_certificate
 from .colorings import Coloring
 from .families import (
     FamilySpec,
+    _lex_walk,
+    _system_walk,
+    _union_step,
+    _union_test,
     iter_union_schreier,
     parse_family,
-    star_closure,
     uniform_member,
     uniform_star,
-    union_schreier_member,
 )
 from .finsets import (
     EMPTY,
@@ -33,7 +35,6 @@ from .finsets import (
     spread,
     subsets_of,
 )
-from .masks import MaskFamily, masks_to_sets
 from .ordinals import (
     ONE,
     ZERO,
@@ -393,25 +394,12 @@ def _as_level(xi) -> int:
         raise ValueError("union level must be a natural number")
     n = xi.as_int()
     if n > 2:
-        raise ValueError("union levels above 2 are not window-enumerable here")
+        raise ValueError("the shift transfer is checked at union levels 0-2")
     return n
 
 
-def _witnessed_prefixes(level: int, window: Window):
-    """Nonempty initial segments of benchmark members inside the window.
-
-    Plain windows go through the mask engine; the generic enumerator is
-    kept for thinned grounds, where it stays affordable only because
-    such windows are small.
-    """
-    sys_ord = omega_power(as_ordinal(level))
-    plain = window.ground == tuple(range(1, window.hi + 1))
-    if plain and window.hi <= 62:
-        prefixes = set()
-        for s in masks_to_sets(MaskFamily(sys_ord, window.hi).member_masks()):
-            prefixes.update(s[:k] for k in range(1, len(s) + 1))
-        return list(prefixes)
-    return [p for p in star_closure(parse_family(f"B:{level}"), window) if p]
+class _Escape(Exception):
+    """A walk met a set outside the containment it checks."""
 
 
 def _transfer_containments(level: int, window: Window):
@@ -430,23 +418,29 @@ def _transfer_containments(level: int, window: Window):
     L = ground[2:]
     level_ord = as_ordinal(level)
     sys_ord = omega_power(level_ord)
-    spread_checked = 0
-    for s in iter_union_schreier(level_ord, Window(1, len(L))):
-        t = tuple(L[i - 1] for i in s)
-        if not uniform_star(sys_ord, t):
-            return {
-                "ok": False,
-                "reason": f"spread of {s} lands outside the star closure",
-            }
-        spread_checked += 1
-    closure_checked = 0
-    for p in _witnessed_prefixes(level, window):
-        if not union_schreier_member(level_ord, p):
-            return {
-                "ok": False,
-                "reason": f"prefix {p} escapes the union level",
-            }
-        closure_checked += 1
+    # the union walk over positions carries its spread's residual: a
+    # spread gets stuck exactly when its parent's residual is already 0
+    positions = tuple(range(1, len(L) + 1))
+    root, union_step = _union_step(level_ord, positions)
+
+    def spread_step(state, s, k):
+        u, r = state
+        if r is ZERO:
+            raise _Escape(f"spread of {s} lands outside the star closure")
+        c = union_step(u, s, k)
+        return (c, descend(r, L[k])) if c else False
+
+    member = _union_test(level_ord)
+    try:
+        spread_checked = sum(1 for _ in _lex_walk(positions, (root, sys_ord),
+                                                  spread_step, False))
+        closure_checked = 0
+        for p in _system_walk(sys_ord, ground):
+            if not member(p):
+                raise _Escape(f"prefix {p} escapes the union level")
+            closure_checked += 1
+    except _Escape as e:
+        return {"ok": False, "reason": str(e)}
     return {
         "ok": True,
         "spread_checked": spread_checked,

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schreier.certificates import (
     CERT_KINDS,
@@ -123,6 +124,15 @@ def test_unreadable_registry_seed_rejected():
     assert not ok and reason
 
 
+@pytest.mark.parametrize("name", [["parity-sum"], 7, None, {"a": 1}])
+def test_non_string_coloring_rejected(name):
+    cert = make_certificate(
+        "Homogeneous", "A:2", Window(1, 20), (1, 3, 5, 7),
+        {"coloring": name, "color": 1, "target": 4})
+    ok, reason = verify_certificate(cert)
+    assert not ok and "coloring" in reason
+
+
 def test_hereditary_predicate_forms():
     assert hereditary_predicate("all")((4, 9))
     down = hereditary_predicate("down:A:2")
@@ -230,6 +240,65 @@ def test_from_json_malformed_raises_certificate_error(text):
     if text.startswith("{"):
         with pytest.raises(CertificateError):
             from_json(json.loads(text))
+
+
+def test_from_json_deep_nesting_raises_certificate_error():
+    with pytest.raises(CertificateError):
+        from_json("[" * 100000)
+
+
+def test_from_json_window_span_refused():
+    # building the ground of [1, 10^12] would exhaust memory
+    with pytest.raises(CertificateError):
+        from_json(_with("window", {"lo": 1, "hi": 10 ** 12}))
+    with pytest.raises(CertificateError):
+        from_json(_with("window", {"lo": 1, "hi": 10 ** 12, "ground": [1, 2]}))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+CERT_FIELDS = ["kind", "family", "window", "witness", "payload",
+               "transcript_hash"]
+
+
+def _from_json_or_certificate_error(doc):
+    try:
+        cert = from_json(doc)
+    except CertificateError:
+        return
+    assert isinstance(cert, Certificate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_from_json_fuzz_arbitrary_values(value):
+    _from_json_or_certificate_error(value)
+    _from_json_or_certificate_error(json.dumps(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(
+           [(f,) for f in CERT_FIELDS]
+           + [("window", k) for k in ("lo", "hi", "ground")]
+           + [("payload", k) for k in ("coloring", "color", "target", "new")]),
+       value=json_values, drop=st.booleans())
+def test_from_json_fuzz_mutated_documents(path, value, drop):
+    doc = good_homogeneous().to_json_dict()
+    doc["window"] = dict(doc["window"])
+    doc["payload"] = dict(doc["payload"])
+    *outer, key = path
+    target = doc[outer[0]] if outer else doc
+    if drop:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    _from_json_or_certificate_error(doc)
+    _from_json_or_certificate_error(json.dumps(doc))
 
 
 def test_digest_ignores_payload_order():

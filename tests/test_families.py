@@ -6,10 +6,12 @@ free-insertion walk for subset-closure witnesses, and a minimal-partition
 DP for the bounded-parts count.
 """
 
+import time
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schreier.families import (
     FamilySpec,
@@ -197,11 +199,21 @@ def test_base_level_is_singletons():
         assert union_schreier_member(0, s) == (len(s) == 1)
 
 
-@pytest.mark.parametrize("a_text", ["1", "2", "3", "w", "w+1"])
+@pytest.mark.parametrize("a_text", ["1", "2", "3", "w", "w+1", "w^2+1", "w^3",
+                                    "w^w", "w^w+1"])
 def test_union_membership_vs_brute(a_text):
     a = parse_ordinal(a_text)
     for s in subsets_of(11):
         assert union_schreier_member(a, s) == brute_F(a, s), s
+
+
+def test_limit_block_stops_at_the_end_of_the_set():
+    # w^w's approximants below 7 fan out over every ordinal with
+    # coefficients up to 7 unless the block search stops once a block
+    # covers the rest of the set
+    t0 = time.perf_counter()
+    assert union_schreier_member(parse_ordinal("w^w+1"), tuple(range(7, 14)))
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("a_text", ["1", "2", "w", "w+1"])
@@ -417,6 +429,53 @@ def test_closure_outputs_are_closed():
         for k in range(len(s)):
             for t in combinations(s, k):
                 assert t in down_set
+
+
+# -- the count-pruned walk against the subset filter -----------------
+
+WALKED = ["A:0", "A:3", "A:w", "A:w+2", "A:w*2", "A:w^2", "A:w^w", "B:2"]
+
+
+def _filtered(spec, ground):
+    return [s for s in combinations_all(ground) if spec.member(s)]
+
+
+def combinations_all(ground):
+    for k in range(len(ground) + 1):
+        yield from combinations(ground, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=st.sampled_from(WALKED),
+       ground=st.sets(st.integers(1, 16), min_size=1, max_size=12))
+def test_walk_matches_subset_filter(text, ground):
+    spec = parse_family(text)
+    g = tuple(sorted(ground))
+    w = Window(g[0], g[-1], g)
+    members = _filtered(spec, g)
+    assert enumerate_family(spec, w) == members
+    prefixes = {s[:k] for s in members for k in range(len(s) + 1)}
+    assert star_closure(spec, w) == sorted(prefixes | {EMPTY},
+                                           key=lambda s: (len(s), s))
+    for m in g:
+        tail = tuple(x for x in g if x > m)
+        assert section(spec, m, w) == [
+            s for s in combinations_all(tail) if spec.member((m,) + s)], m
+
+
+def test_walk_edge_residuals():
+    w = Window(1, 9)
+    # the family at 0 is {empty set}: nothing below the root
+    zero = parse_family("A:0")
+    assert enumerate_family(zero, w) == [EMPTY]
+    assert star_closure(zero, w) == [EMPTY]
+    assert section(zero, 3, w) == []
+    # a section whose singleton is already a member holds only the empty set
+    assert section(parse_family("A:1"), 4, w) == [EMPTY]
+    assert section(parse_family("A:w"), 1, w) == [EMPTY]
+    # no member fits: only the empty prefix is witnessed
+    assert enumerate_family(parse_family("A:w"), Window(5, 8)) == []
+    assert star_closure(parse_family("A:w"), Window(5, 8)) == [EMPTY]
 
 
 def test_enumeration_cap():

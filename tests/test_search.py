@@ -326,9 +326,49 @@ def test_transfer_thinned_ground_pinned(level, spread_n, closure_n, digest):
     assert verify_certificate(cert)[0]
 
 
+# The walks stop at the lex-first set outside a containment.  A benchmark
+# index patched to the wrong value must make each side report the same set
+# as a definitional scan of the union members or the witnessed prefixes.
+
+
+def test_transfer_spread_escape_is_lex_first(monkeypatch):
+    import schreier.search as S
+    from schreier.families import iter_union_schreier, uniform_star
+
+    small = o("w")  # below w^2, so level-2 spreads leave its star closure
+    monkeypatch.setattr(S, "omega_power", lambda a: small)
+    w = Window(1, 12)
+    L = w.ground[2:]
+    first = next(s for s in iter_union_schreier(2, Window(1, len(L)))
+                 if not uniform_star(small, tuple(L[i - 1] for i in s)))
+    assert S._transfer_containments(2, w) == {
+        "ok": False, "reason": f"spread of {first} lands outside the star closure"}
+
+
+def test_transfer_closure_escape_is_lex_first(monkeypatch):
+    import schreier.search as S
+    from schreier.families import star_closure, union_schreier_member
+
+    wide = o("w*3")  # three w-blocks: its witnessed prefixes leave level 2
+    monkeypatch.setattr(S, "omega_power", lambda a: wide)
+    w = Window(1, 12)
+    first = next(p for p in sorted(star_closure(parse_family("A:w*3"), w))
+                 if p and not union_schreier_member(2, p))
+    assert S._transfer_containments(2, w) == {
+        "ok": False, "reason": f"prefix {first} escapes the union level"}
+
+
 def test_transfer_level_zero_trivial():
     cert = schreier_transfer(0, Window(1, 10))
     assert verify_certificate(cert)[0]
+
+
+def test_transfer_level_zero_wide_window():
+    # the count table extends a state's entries in a loop, so a window
+    # wider than the recursion limit is fine where the walk itself is
+    cert = schreier_transfer(0, Window(1, 1500))
+    p = cert.payload_dict()
+    assert (p["spread_checked"], p["closure_checked"]) == (1498, 1500)
 
 
 def test_transfer_validation():
