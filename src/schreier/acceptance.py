@@ -23,6 +23,7 @@ from .canonical import canonical_rep, sperner_witness, trichotomy
 from .certificates import from_json, transcript_digest, verify_certificate
 from .colorings import get_coloring, hash_coloring
 from .families import (
+    _down_test,
     check_thin,
     enumerate_family,
     parse_family,
@@ -312,7 +313,7 @@ def _check_6() -> Tuple[bool, str]:
     win = Window(1, 14)
     for k in range(1, 5):
         spec = parse_family(f"A:{k}")
-        table = brute_derivative(spec.down, win, max_steps=8)
+        table = brute_derivative(_down_test(spec), win, max_steps=8)
         if table.exhausted or table.index != k + 1:
             return False, f"brute index of A:{k} closure is {table.index}"
         if closure_index(spec) != from_int(k + 1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .colorings import Coloring, get_coloring, hash_coloring
-from .families import parse_family
+from .families import _down_test, parse_family
 from .finsets import FinSet, Window, as_finset, subsets_of
 
 CERT_KINDS = (
@@ -135,8 +135,7 @@ def hereditary_predicate(desc: str) -> Callable[[FinSet], bool]:
     if desc == "all":
         return lambda s: True
     if desc.startswith("down:"):
-        spec = parse_family(desc[len("down:"):])
-        return spec.down
+        return _down_test(parse_family(desc[len("down:"):]))
     if desc.startswith("member:"):
         spec = parse_family(desc[len("member:"):])
         return spec.member
@@ -180,13 +179,14 @@ def _verify_dichotomy(cert: Certificate, branch: str):
         hered = hereditary_predicate(p.get("hereditary", ""))
     except CertificateError as e:
         return False, str(e)
+    if branch == "A":
+        try:
+            down = _down_test(spec)
+        except ValueError as e:
+            return False, str(e)
     for t in subsets_of(cert.witness):
         if branch == "A":
-            try:
-                in_down = spec.down(t)
-            except ValueError as e:
-                return False, str(e)
-            if in_down and not hered(t):
+            if down(t) and not hered(t):
                 return False, f"{t} is in the subset closure but outside the target"
         else:
             if hered(t) and not (spec.star(t) and not spec.member(t)):

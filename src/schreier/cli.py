@@ -4,8 +4,8 @@ One verb per library operation.  Output is plain text by default and a
 stable JSON document under ``--json``; both carry the same content.
 
 Exit status: 0 for success or a found certificate, 1 for a computed
-negative (non-membership, search exhaustion, a violated premise), 2 for
-usage errors.
+negative (non-membership, search exhaustion, a violated premise, a
+rejected certificate), 2 for usage errors and malformed certificates.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import sys
 from typing import List, Optional, Tuple
 
 from .canonical import FamilyContractError, canonical_rep
-from .certificates import Certificate, hereditary_predicate, verify_certificate
+from .certificates import (Certificate, from_json, hereditary_predicate,
+                           verify_certificate)
 from .colorings import ColoringProtocolError, get_coloring, registry_names
 from .families import enumerate_family, parse_family, section
 from .finsets import Window, format_finset, parse_finset, parse_window
@@ -299,6 +300,24 @@ def _run_transfer(args) -> Result:
     return OK, out, lines
 
 
+def _run_verify(args) -> Result:
+    if args.cert == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(args.cert, encoding="utf-8") as f:
+                text = f.read()
+        except OSError as e:
+            raise ValueError(f"cannot read {args.cert}: {e.strerror}") from e
+    cert = from_json(text)  # CertificateError is a ValueError: usage
+    ok, reason = verify_certificate(cert)
+    out = {"verified": ok, "reason": reason, "kind": cert.kind}
+    lines = [f"verified: {'true' if ok else 'false'}"]
+    if not ok:
+        lines.append(f"reason: {reason}")
+    return (OK if ok else NEGATIVE), out, lines
+
+
 def _run_check(args) -> Result:
     from .acceptance import run_all
 
@@ -418,6 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="route the closure index of this family "
                         "(or 'all') through the spread containment")
     p.add_argument("--target", type=int, default=8)
+
+    p = verb("verify", _run_verify, "re-check a certificate offline")
+    p.add_argument("--cert", required=True, metavar="FILE",
+                   help="certificate JSON file, or - for standard input")
 
     verb("check", _run_check, "run the full acceptance suite")
 

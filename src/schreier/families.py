@@ -292,9 +292,9 @@ class FamilySpec:
         """Subset-closure test over the infinite ground line (closed forms).
 
         Available for the kinds with a worked-out characterization; raises
-        for the rest rather than guessing.
+        for the rest rather than guessing, whatever s is.
         """
-        return _down_member(self, s)
+        return _down_test(self)(s)
 
     def literal(self) -> str:
         if self.kind in _ORDINAL_KINDS:
@@ -340,33 +340,35 @@ def _schreier_star_parts(t: FinSet, pos: int = 0) -> int:
     return parts
 
 
-def _down_member(spec: FamilySpec, t: FinSet) -> bool:
-    if spec.kind in ("exR",):
-        return not t or len(t) <= t[0]
+def _down_test(spec: FamilySpec) -> Callable[[FinSet], bool]:
+    """The family's subset-closure test, its closed form picked once.
+
+    Raises ValueError for a family with no closed form.
+    """
+    if spec.kind == "exR":
+        return lambda t: not t or len(t) <= t[0]
     if spec.kind == "exL":
-        return not t or len(t) <= 2 * t[0] + 1
+        return lambda t: not t or len(t) <= 2 * t[0] + 1
     if spec.kind == "F":
         # hereditary already: subsets of members are members (or empty)
-        return not t or union_schreier_member(spec.ordinal, t)
+        member = _union_test(spec.ordinal)
+        return lambda t: not t or member(t)
     xi = spec.system_ordinal()
-    if xi is None:
-        raise ValueError(f"no subset-closure form for {spec.literal()}")
-    if not t:
-        return True
-    if xi.is_natural:
-        return len(t) <= xi.as_int()
-    terms = xi.terms
-    # w*p + k: k leading elements are free, then at most p parts each
-    # bounded by its own minimum
-    if terms[0][0] == ONE:
-        p = terms[0][1]
-        k = terms[1][1] if len(terms) > 1 else 0
-        if len(terms) > 2 or (len(terms) == 2 and not terms[1][0].is_zero):
-            raise ValueError(f"no subset-closure form for {spec.literal()}")
-        return _schreier_star_parts(t, k) <= p
-    # w^2: at most min-many bounded parts
-    if xi == omega_power(2):
-        return _schreier_star_parts(t) <= t[0]
+    if xi is not None:
+        if xi.is_natural:
+            k = xi.as_int()
+            return lambda t: len(t) <= k
+        terms = xi.terms
+        # w*p + k: k leading elements are free, then at most p parts each
+        # bounded by its own minimum
+        if terms[0][0] == ONE and (len(terms) == 1 or (
+                len(terms) == 2 and terms[1][0].is_zero)):
+            p = terms[0][1]
+            k = terms[1][1] if len(terms) > 1 else 0
+            return lambda t: _schreier_star_parts(t, k) <= p
+        # w^2: at most min-many bounded parts
+        if xi == omega_power(2):
+            return lambda t: not t or _schreier_star_parts(t) <= t[0]
     raise ValueError(f"no subset-closure form for {spec.literal()}")
 
 

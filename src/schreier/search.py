@@ -18,14 +18,13 @@ from .certificates import Certificate, hereditary_predicate, make_certificate
 from .colorings import Coloring
 from .families import (
     FamilySpec,
+    _down_test,
     _lex_walk,
     _system_walk,
     _union_step,
     _union_test,
     iter_union_schreier,
     parse_family,
-    uniform_member,
-    uniform_star,
 )
 from .finsets import (
     EMPTY,
@@ -93,22 +92,11 @@ def homogenize(spec: FamilySpec, coloring: Coloring, window: Window,
     """
     if target < 1:
         raise ValueError("target must be at least 1")
-
-    def admit(partial, e, color):
-        for s in subsets_of(partial):
-            t = s + (e,)
-            if spec.member(t):
-                col = coloring(t)
-                if color is None:
-                    color = col
-                elif col != color:
-                    return False, color
-        return True, color
-
-    hit = _lex_first(window.ground, target, admit)
+    admit, root = _homogenize_admit(spec, coloring)
+    hit = _lex_first(window.ground, target, admit, root)
     if hit is None:
         return None
-    L, color = hit
+    L, (color, _) = hit
     payload = {
         "coloring": coloring.name,
         "color": 1 if color is None else color,
@@ -117,6 +105,51 @@ def homogenize(spec: FamilySpec, coloring: Coloring, window: Window,
     }
     _record_palette(payload, coloring)
     return make_certificate("Homogeneous", spec.literal(), window, L, payload)
+
+
+_CLASH = object()
+
+
+def _shared_color(coloring: Coloring, color, members):
+    """The colour of every set in members, agreeing with color unless that
+    is None (not fixed yet); _CLASH at the first set that differs."""
+    for t in members:
+        col = coloring(t)
+        if color is None:
+            color = col
+        elif col != color:
+            return _CLASH
+    return color
+
+
+def _homogenize_admit(spec: FamilySpec, coloring: Coloring):
+    """homogenize's admit rule and root state for _lex_first.
+
+    A state is (colour fixed so far or None, frontier).  For a system
+    family the frontier lists each subset of the partial set whose
+    residual is not 0, with that residual, so appending e costs one
+    descend per entry: a residual of 0 is a member to colour, any other
+    extends the frontier.  Other kinds test every subset of the partial
+    set and carry no frontier.
+    """
+    xi = spec.system_ordinal()
+    if xi is None:
+        def admit(partial, e, state):
+            completed = (s + (e,) for s in subsets_of(partial))
+            color = _shared_color(coloring, state[0],
+                                  filter(spec.member, completed))
+            return color is not _CLASH, (color, None)
+        return admit, (None, None)
+
+    def admit(partial, e, state):
+        color, frontier = state
+        grown = [(s + (e,), descend(r, e)) for s, r in frontier]
+        color = _shared_color(coloring, color,
+                               (t for t, r in grown if r is ZERO))
+        return color is not _CLASH, (
+            color, frontier + [g for g in grown if g[1] is not ZERO])
+
+    return admit, (None, [] if xi is ZERO else [(EMPTY, xi)])
 
 
 def _record_palette(payload, coloring: Coloring) -> None:
@@ -292,7 +325,7 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     empty list means the candidate budget ran out.
     """
     hered = hereditary_predicate(hered_desc)
-    spec.down(EMPTY)  # raises early when no subset-closure form exists
+    down = _down_test(spec)  # raises before the probe without a closed form
     check_hereditary(hered, subsets_of(window.ground[:_PROBE],
                                        include_empty=False))
     ground = window.ground
@@ -303,7 +336,7 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
             break
         okA = okB = True
         for t in subsets_of(L):
-            if okA and spec.down(t) and not hered(t):
+            if okA and down(t) and not hered(t):
                 okA = False
             if okB and hered(t) and not (spec.star(t) and not spec.member(t)):
                 okB = False
@@ -334,14 +367,8 @@ def rank_separation(xi1, xi2, window: Window,
     if not 1 <= target <= len(window.ground):
         raise ValueError("target outside the window")
 
-    def admissible(t):
-        return not uniform_member(xi1, t) or (
-            uniform_star(xi2, t) and not uniform_member(xi2, t))
-
-    def admit(partial, e, state):
-        return all(admissible(s + (e,)) for s in subsets_of(partial)), state
-
-    hit = _lex_first(window.ground, target, admit)
+    admit, root = _separation_admit(xi1, xi2)
+    hit = _lex_first(window.ground, target, admit, root)
     if hit is None:
         return None
     L, _ = hit
@@ -353,6 +380,29 @@ def rank_separation(xi1, xi2, window: Window,
     }
     return make_certificate("DichotomyBranchB", f"A:{format_ordinal(xi2)}",
                             window, L, payload)
+
+
+def _separation_admit(xi1: Ordinal, xi2: Ordinal):
+    """rank_separation's admit rule and root frontier for _lex_first.
+
+    Appending e must leave every level-xi1 member it completes a proper
+    initial segment of a level-xi2 member.  The frontier holds, for each
+    subset of the partial set whose xi1 residual is not 0, its residuals
+    at xi1 and at xi2 (None once stuck); a subset at 0 or stuck for xi1
+    completes no member any more.
+    """
+    def admit(partial, e, frontier):
+        grown = []
+        for r1, r2 in frontier:
+            r1 = descend(r1, e)
+            r2 = None if r2 is None or r2 is ZERO else descend(r2, e)
+            if r1 is not ZERO:
+                grown.append((r1, r2))
+            elif r2 is None or r2 is ZERO:
+                return False, frontier
+        return True, frontier + grown
+
+    return admit, [] if xi1 is ZERO else [(xi1, xi2)]
 
 
 def detect_chain(hered_desc: str, window: Window,
@@ -527,7 +577,7 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
             return (not t) or H(t[1:])
         extra_drop = 2
 
-    bspec = parse_family(f"B:{level}")
+    down = _down_test(parse_family(f"B:{level}"))
     ground = window.ground
     size = target + 2 + extra_drop
     if size > len(ground):
@@ -536,7 +586,7 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     for count, cand in enumerate(combinations(ground, size)):
         if count >= max_candidates:
             break
-        if any(bspec.down(t) and not pred(t) for t in subsets_of(cand)):
+        if any(down(t) and not pred(t) for t in subsets_of(cand)):
             continue
         L = cand[2 + extra_drop:]
         checked, escaped = _spread_into(level, L, H)

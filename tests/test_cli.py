@@ -1,9 +1,11 @@
+import io
 import json
 import sys
 
 import pytest
 
 from schreier.cli import build_parser, main
+from schreier.finsets import Window
 
 
 def run(capsys, *argv):
@@ -319,6 +321,69 @@ def test_transfer_level_cap(capsys):
 # -- parser-level behaviour -------------------------------------------
 
 
+# -- offline verification ---------------------------------------------
+
+
+def chain_certificate_text():
+    from schreier import detect_chain, to_json
+
+    return to_json(detect_chain("down:A:3", Window(1, 12), 4))
+
+
+def test_verify_accepts_certificate_file(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(chain_certificate_text())
+    rc, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert rc == 0
+    assert out.strip() == "verified: true"
+
+
+def test_verify_reads_standard_input(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(chain_certificate_text()))
+    rc, doc, _ = run_json(capsys, "verify", "--cert", "-")
+    assert rc == 0
+    assert doc == {"verified": True, "reason": "ok", "kind": "Chain"}
+
+
+def test_verify_rejects_edited_certificate(capsys, monkeypatch, tmp_path):
+    doc = json.loads(chain_certificate_text())
+    doc["witness"] = [1, 2, 4]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert rc == 1
+    assert out.splitlines() == ["verified: false",
+                                "reason: transcript hash mismatch"]
+    # a re-hashed forgery passes the hash and fails the claim
+    from schreier.certificates import make_certificate, to_json
+
+    forged = make_certificate("Chain", "down:A:3", Window(1, 10), (1, 2, 3, 4),
+                              {"hereditary": "down:A:3", "depth": 4,
+                               "chain": [[1], [1, 2], [1, 2, 3],
+                                         [1, 2, 3, 4]]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(to_json(forged)))
+    rc, doc, _ = run_json(capsys, "verify", "--cert", "-")
+    assert rc == 1
+    assert doc == {"verified": False, "kind": "Chain",
+                   "reason": "(1, 2, 3, 4) is outside the family"}
+
+
+def test_verify_malformed_certificate_is_usage_error(capsys, monkeypatch,
+                                                     tmp_path):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
+    rc, out, err = run(capsys, "verify", "--cert", "-")
+    assert rc == 2 and out == ""
+    assert "certificate is not JSON" in err
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"kind": "Chain"}))
+    rc, _, err = run(capsys, "verify", "--cert", str(path))
+    assert rc == 2
+    assert "missing certificate field" in err
+    rc, _, err = run(capsys, "verify", "--cert", str(tmp_path / "absent"))
+    assert rc == 2
+    assert "cannot read" in err
+
+
 def test_unknown_verb_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
@@ -330,7 +395,7 @@ def test_all_verbs_registered():
     text = parser.format_help()
     for verb in ("member", "enum", "section", "canon", "rank", "index",
                  "fundseq", "ord", "homogenize", "dichotomy", "separate",
-                 "chain", "transfer", "check"):
+                 "chain", "transfer", "verify", "check"):
         assert verb in text
 
 

@@ -28,6 +28,7 @@ from schreier.families import (
     uniform_member,
     uniform_star,
     union_schreier_member,
+    _down_test,
     _schreier_star_parts,
 )
 from schreier.finsets import EMPTY, Window
@@ -398,10 +399,14 @@ def test_union_levels_hereditary(text):
 
 
 def test_down_closed_form_unavailable():
-    with pytest.raises(ValueError):
-        parse_family("A:w^w").down((1,))
-    with pytest.raises(ValueError):
-        parse_family("ex112").down((2,))
+    # the form is resolved before the set is looked at, so the empty set
+    # raises too
+    for text in ("A:w^w", "A:w^3", "A:w^2+1", "ex112"):
+        for s in ((), (1,), (2,)):
+            with pytest.raises(ValueError, match="no subset-closure form"):
+                parse_family(text).down(s)
+        with pytest.raises(ValueError, match="no subset-closure form"):
+            _down_test(parse_family(text))
 
 
 # -- windowed operations ----------------------------------------------

@@ -5,6 +5,7 @@ from schreier.finsets import (
     EMPTY,
     Window,
     as_finset,
+    check_hereditary,
     format_finset,
     is_initial_segment,
     is_proper_initial_segment,
@@ -13,6 +14,7 @@ from schreier.finsets import (
     parse_window,
     set_of_mask,
     spread,
+    subsets_of,
 )
 
 sets = st.builds(as_finset, st.sets(st.integers(1, 40), max_size=8))
@@ -105,3 +107,33 @@ def test_parse_window():
     for bad in ("1-30", "a..b", ".."):
         with pytest.raises(ValueError):
             parse_window(bad)
+
+
+# -- check_hereditary --------------------------------------------------
+
+
+def at_most_pairs_but_not_one(s):
+    return len(s) <= 2 and s != (1,)
+
+
+@pytest.mark.parametrize("include_empty", [False, True])
+def test_check_hereditary_names_the_first_failing_removal(include_empty):
+    # (1, 2) is the first accepted set with a rejected removal; removing
+    # its elements in order gives (2,) first, which is accepted, then (1,)
+    sets = subsets_of((1, 2, 3), include_empty=include_empty)
+    with pytest.raises(ValueError) as e:
+        check_hereditary(at_most_pairs_but_not_one, sets)
+    assert str(e.value) == ("predicate is not hereditary on the window: "
+                            "(1, 2) is in but (1,) is not")
+
+
+def test_check_hereditary_removal_to_the_empty_set():
+    def singletons(s):
+        return len(s) == 1
+
+    nonempty = list(subsets_of((1, 2, 3), include_empty=False))
+    assert check_hereditary(singletons, nonempty) == [(1,), (2,), (3,)]
+    with pytest.raises(ValueError) as e:
+        check_hereditary(singletons, subsets_of((1, 2, 3)))
+    assert str(e.value) == ("predicate is not hereditary on the window: "
+                            "(1,) is in but () is not")

@@ -61,6 +61,17 @@ def test_rank_separation_pinned():
     assert verify_certificate(cert) == (True, "ok")
 
 
+def test_rank_separation_wide_window_pinned():
+    # recorded when every admit still re-walked each subset of the partial
+    # set; the carried frontier must find the same lex-first witness
+    cert = rank_separation(parse_ordinal("w*2"), parse_ordinal("w^2"),
+                           Window(1, 30), 7)
+    assert cert.witness == (1, 7, 8, 9, 10, 11, 12)
+    assert cert.transcript_hash == (
+        "c0a99bcbae95b5ef49722a8455be8cbefcf1a6ea3e9457745ccdcef9ef056cf5")
+    assert verify_certificate(cert) == (True, "ok")
+
+
 def test_detect_chain_pinned():
     cert = detect_chain("down:exL", Window(1, 20), 8)
     assert cert.witness == (3, 4, 5, 6, 7, 8, 9)

@@ -3,15 +3,21 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from schreier import search
 from schreier.certificates import make_certificate, verify_certificate
 from schreier.colorings import Coloring, get_coloring, hash_coloring
-from schreier.families import parse_family
-from schreier.finsets import Window
-from schreier.ordinals import from_int, parse_ordinal
+from schreier.families import (parse_family, residual_after, uniform_member,
+                               uniform_star)
+from schreier.finsets import Window, subsets_of
+from schreier.ordinals import ZERO, compare, from_int, parse_ordinal
 from schreier.rank import index_compare
 from schreier.search import (
     StreamBudget,
+    _homogenize_admit,
+    _lex_first,
+    _separation_admit,
     detect_chain,
     hereditary_dichotomy,
     homogenize,
@@ -182,6 +188,112 @@ def test_sperner_size_equals_min():
     assert verify_certificate(cert)[0]
 
 
+# -- carried frontiers against the subset-walking admits ---------------
+#
+# The searches once re-tested every subset of the partial set on each
+# admit; those admits stay here as the oracle for the carried frontiers.
+
+
+def oracle_homogenize_admit(spec, coloring):
+    def admit(partial, e, color):
+        for s in subsets_of(partial):
+            t = s + (e,)
+            if spec.member(t):
+                col = coloring(t)
+                if color is None:
+                    color = col
+                elif col != color:
+                    return False, color
+        return True, color
+    return admit
+
+
+def oracle_separation_admit(xi1, xi2):
+    def admissible(t):
+        return not uniform_member(xi1, t) or (
+            uniform_star(xi2, t) and not uniform_member(xi2, t))
+
+    def admit(partial, e, state):
+        return all(admissible(s + (e,)) for s in subsets_of(partial)), state
+    return admit
+
+
+FRONTIER_FAMILIES = ["A:0", "A:2", "A:3", "A:w", "A:w+1", "A:w*2", "A:w^2",
+                     "A:w^w", "B:2"]
+SEPARATION_PAIRS = [
+    (a, b)
+    for a in ("0", "2", "3", "w", "w+1", "w*2", "w^2", "w^w")
+    for b in ("0", "2", "3", "w", "w+1", "w*2", "w^2", "w^w")
+    if compare(o(a), o(b)) < 0
+]
+partial_sets = st.builds(lambda xs: tuple(sorted(xs)),
+                         st.sets(st.integers(1, 14), min_size=1))
+
+
+def greedy_walk(admit, state, oracle, want_state, ground):
+    """Offer ground's elements in turn to both admits, as _lex_first does
+    before it backtracks; yields each partial set, element, verdict pair
+    and pair of states."""
+    partial = ()
+    for e in ground:
+        ok, next_state = admit(partial, e, state)
+        want_ok, want_next = oracle(partial, e, want_state)
+        yield partial, e, (ok, want_ok), (next_state, want_next)
+        if ok and want_ok:
+            partial += (e,)
+            state, want_state = next_state, want_next
+
+
+@pytest.mark.parametrize("family", FRONTIER_FAMILIES)
+@settings(max_examples=50, deadline=None)
+@given(ground=partial_sets, seed=st.integers(0, 1 << 20))
+def test_homogenize_frontier_matches_subset_admit(family, ground, seed):
+    spec = parse_family(family)
+    coloring = hash_coloring(seed)
+    admit, root = _homogenize_admit(spec, coloring)
+    oracle = oracle_homogenize_admit(spec, coloring)
+    kept, frontier = (), root[1]
+    for partial, e, (ok, want_ok), (state, want_color) in greedy_walk(
+            admit, root, oracle, None, ground):
+        assert ok == want_ok, (partial, e)
+        if ok:
+            assert state[0] == want_color, (partial, e)
+            kept, frontier = partial + (e,), state[1]
+    # the frontier holds each subset of the kept set that is neither
+    # stuck nor a member, once, with its residual
+    xi = spec.system_ordinal()
+    alive = [(s, residual_after(xi, s)) for s in subsets_of(kept)]
+    assert sorted(frontier) == sorted(
+        (s, r) for s, r in alive if r is not None and r is not ZERO)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=st.sampled_from(SEPARATION_PAIRS), ground=partial_sets)
+def test_separation_frontier_matches_subset_admit(pair, ground):
+    xi1, xi2 = o(pair[0]), o(pair[1])
+    admit, root = _separation_admit(xi1, xi2)
+    oracle = oracle_separation_admit(xi1, xi2)
+    for partial, e, (ok, want_ok), _ in greedy_walk(admit, root, oracle,
+                                                      None, ground):
+        assert ok == want_ok, (partial, e)
+
+
+@pytest.mark.parametrize("family", FRONTIER_FAMILIES + ["F:1", "exL"])
+def test_homogenize_witness_matches_subset_search(family):
+    spec = parse_family(family)
+    for seed in range(3):
+        coloring = hash_coloring(seed, 3)
+        cert = homogenize(spec, coloring, Window(1, 14), 4)
+        hit = _lex_first(Window(1, 14).ground, 4,
+                         oracle_homogenize_admit(spec, coloring))
+        if hit is None:
+            assert cert is None
+            continue
+        L, color = hit
+        assert cert.witness == L
+        assert cert.payload_dict()["color"] == (1 if color is None else color)
+
+
 # -- hereditary_dichotomy ---------------------------------------------
 
 
@@ -233,6 +345,17 @@ def test_dichotomy_validation():
         hereditary_dichotomy("member:A:2", parse_family("exL"), Window(1, 20))
     with pytest.raises(ValueError):
         hereditary_dichotomy("down:F:1", parse_family("ex112"), Window(1, 20))
+
+
+def test_dichotomy_without_closed_form_raises_before_the_probe(monkeypatch):
+    def probe(*_):
+        raise AssertionError("the heredity probe ran")
+
+    monkeypatch.setattr(search, "check_hereditary", probe)
+    for family in ("A:w^3", "ex112"):
+        with pytest.raises(ValueError, match="no subset-closure form"):
+            hereditary_dichotomy("down:F:1", parse_family(family),
+                                 Window(1, 20))
 
 
 # -- rank_separation --------------------------------------------------
