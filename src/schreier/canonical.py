@@ -9,11 +9,12 @@ any set is a member, so the first member prefix found is the only choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import length_hint
 from typing import List, Optional, Tuple
 
 from .families import FamilySpec, check_sperner
 from .finsets import FinSet, Window, as_finset
-from .ordinals import ZERO, descend
+from .ordinals import ZERO, _walk
 
 __all__ = [
     "CanonicalRep",
@@ -68,12 +69,11 @@ def _first_block(spec: FamilySpec, A: FinSet) -> int:
     """
     xi = spec.system_ordinal()
     if xi is not None and not xi.is_zero:
-        r = xi
-        for k, n in enumerate(A, 1):
-            r = descend(r, n)
-            if r is ZERO:
-                return k
-        return 0
+        rest = iter(A)
+        if _walk(xi, rest) is not ZERO:
+            return 0
+        # a tuple iterator's length hint is exact: the elements left unread
+        return len(A) - length_hint(rest)
     hits = [k for k in range(1, len(A) + 1) if spec.member(A[:k])]
     if len(hits) > 1:
         raise FamilyContractError(

@@ -26,7 +26,7 @@ closures computed on a window only count witnesses inside the window
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .finsets import (EMPTY, FinSet, Window, mask_of, set_of_mask,
                       shortlex_key, subsets_of)
@@ -35,6 +35,7 @@ from .ordinals import (
     OMEGA,
     ZERO,
     Ordinal,
+    _walk,
     as_ordinal,
     descend,
     format_ordinal,
@@ -66,23 +67,23 @@ __all__ = [
 # -- system families --------------------------------------------------
 
 
-def residual_after(xi: Ordinal, s: FinSet) -> Optional[Ordinal]:
+def residual_after(xi: Ordinal, s: Iterable[int]) -> Optional[Ordinal]:
     """Residual ordinal after consuming s left to right; None if stuck.
 
     Stuck means some element had to descend a zero residual, i.e. s passed
     a member boundary and is not an initial segment of any member.
     """
-    r = as_ordinal(xi)
-    for n in s:
-        if r is ZERO:
+    rest = iter(s)
+    r = _walk(as_ordinal(xi), rest)
+    if r is ZERO:
+        for _ in rest:
             return None
-        r = descend(r, n)
     return r
 
 
 def uniform_member(xi, s: FinSet) -> bool:
     """s belongs to the system family at xi (residual consumed exactly)."""
-    return residual_after(as_ordinal(xi), s) is ZERO
+    return residual_after(xi, s) is ZERO
 
 
 def uniform_star(xi, s: FinSet) -> bool:
@@ -92,7 +93,7 @@ def uniform_star(xi, s: FinSet) -> bool:
     residual can always be driven to zero by sufficiently many further
     elements, so no window bound enters.
     """
-    return residual_after(as_ordinal(xi), s) is not None
+    return residual_after(xi, s) is not None
 
 
 # -- union-built hierarchy (generalized Schreier) ---------------------
@@ -246,15 +247,16 @@ class FamilySpec:
                 raise ValueError("custom kind needs a membership predicate")
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        # the walk's root, resolved once; not a field, so equality, hash
+        # and repr see only the literal
+        root = (self.ordinal if self.kind == "A"
+                else omega_power(self.ordinal) if self.kind == "B" else None)
+        object.__setattr__(self, "_root", root)
 
     # the system ordinal actually consumed by the residual walk, when the
     # family is a system family
     def system_ordinal(self) -> Optional[Ordinal]:
-        if self.kind == "A":
-            return self.ordinal
-        if self.kind == "B":
-            return omega_power(self.ordinal)
-        return None
+        return self._root
 
     def member(self, s: FinSet) -> bool:
         xi = self.system_ordinal()

@@ -10,15 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from operator import lt
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 FinSet = Tuple[int, ...]
 
 EMPTY: FinSet = ()
 
+_INT = frozenset((int,))
+
 
 def as_finset(elements: Iterable[int]) -> FinSet:
-    """Normalise to a sorted tuple, rejecting duplicates and non-positives."""
+    """Normalise to a sorted tuple, rejecting duplicates and non-positives.
+
+    A tuple of plain ints that is already a set is returned as it is,
+    checked by builtins rather than element by element.
+    """
+    if (type(elements) is tuple and set(map(type, elements)) <= _INT
+            and (not elements or elements[0] >= 1)
+            and all(map(lt, elements, elements[1:]))):
+        return elements
     xs = tuple(sorted(elements))
     prev = 0
     for x in xs:

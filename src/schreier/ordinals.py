@@ -13,7 +13,10 @@ named so the choice is visible at the interfaces that depend on it.
 
 Ordinals are hash-consed: equal ordinals are one object, so equality is
 identity, and :func:`descend` memoizes each step on the node it leaves, a
-lazily filled transition table shared by every walk.
+lazily filled transition table shared by every walk.  The whole-set walk
+kernel :func:`_walk`, under membership, star, the residual, the canonical
+decomposition, trichotomy and the symbolic rank, reads that memo inline and
+calls :func:`descend` only on a miss.
 """
 
 from __future__ import annotations
@@ -334,6 +337,24 @@ def descend(x: Ordinal, n: int) -> Ordinal:
         nxt = predecessor(x) if x.is_successor else fundamental(x, n)
         x._next[n] = nxt
     return nxt
+
+
+def _walk(r: Ordinal, elements) -> Ordinal:
+    """Descend r by the elements in turn, stopping at the first 0.
+
+    Each step reads :func:`descend`'s memo on the node directly and calls
+    it only on a miss.  Elements after the one that reaches 0 are left
+    unread, so a caller passing an iterator can tell what remains.  A zero
+    r reads nothing.
+    """
+    if r is ZERO:
+        return r
+    for n in elements:
+        nxt = r._next.get(n)
+        r = descend(r, n) if nxt is None else nxt
+        if r is ZERO:
+            break
+    return r
 
 
 FUNDAMENTAL_SCHEMES = ("wainer",)

@@ -1,5 +1,7 @@
+from enum import IntEnum
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from schreier.finsets import (
     EMPTY,
@@ -29,6 +31,72 @@ def test_as_finset_sorts_and_validates():
         as_finset([2, 2])
     with pytest.raises(TypeError):
         as_finset([True])
+
+
+def loop_as_finset(elements):
+    """The element-by-element validation: the oracle for as_finset."""
+    xs = tuple(sorted(elements))
+    prev = 0
+    for x in xs:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"set elements must be ints, got {x!r}")
+        if x < 1:
+            raise ValueError(f"set elements must be >= 1, got {x}")
+        if x == prev:
+            raise ValueError(f"duplicate element {x}")
+        prev = x
+    return xs
+
+
+class Level(IntEnum):
+    LOW = 2
+    HIGH = 7
+
+
+def outcome(fn, make):
+    try:
+        return "value", fn(make())
+    except Exception as e:  # compared by type and message
+        return type(e), str(e)
+
+
+CONTAINERS = {
+    "tuple": tuple,
+    "sorted tuple": lambda xs: tuple(sorted(set(xs))),
+    "list": list,
+    "set": set,
+    "generator": lambda xs: (x for x in xs),
+}
+
+elements = st.one_of(
+    st.integers(-3, 70),
+    st.integers(2**63 - 2, 2**64 + 2),
+    st.sampled_from([True, False, Level.LOW, Level.HIGH, 1.0, 2.5, None]),
+    st.floats(allow_nan=False),
+)
+
+
+@given(xs=st.one_of(st.lists(elements, max_size=12),
+                    st.lists(st.integers(-1, 40), max_size=12)),
+       kind=st.sampled_from(sorted(CONTAINERS)))
+@example(xs=[1, 1], kind="sorted tuple")
+@example(xs=[True], kind="tuple")
+@example(xs=[1, True], kind="tuple")
+@example(xs=[1, Level.HIGH], kind="tuple")
+@example(xs=[1, 2**64], kind="tuple")
+@example(xs=[0, 1], kind="tuple")
+@example(xs=[1, 1], kind="tuple")
+@example(xs=[3, 2], kind="tuple")
+@example(xs=[1, 2.0], kind="tuple")
+@example(xs=[], kind="generator")
+def test_as_finset_matches_the_element_loop(xs, kind):
+    make = lambda: CONTAINERS[kind](xs)
+    got, want = outcome(as_finset, make), outcome(loop_as_finset, make)
+    assert got == want
+    if got[0] == "value":
+        # equal values could still differ in type: 1 == True == 1.0
+        assert type(got[1]) is tuple
+        assert list(map(type, got[1])) == list(map(type, want[1]))
 
 
 @given(sets)
