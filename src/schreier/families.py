@@ -247,16 +247,15 @@ class FamilySpec:
                 raise ValueError("custom kind needs a membership predicate")
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        # the walk's root, resolved once; not a field, so equality, hash
-        # and repr see only the literal
-        root = (self.ordinal if self.kind == "A"
-                else omega_power(self.ordinal) if self.kind == "B" else None)
-        object.__setattr__(self, "_root", root)
 
     # the system ordinal actually consumed by the residual walk, when the
     # family is a system family
     def system_ordinal(self) -> Optional[Ordinal]:
-        return self._root
+        if self.kind == "A":
+            return self.ordinal
+        if self.kind == "B":
+            return omega_power(self.ordinal)
+        return None
 
     def member(self, s: FinSet) -> bool:
         xi = self.system_ordinal()

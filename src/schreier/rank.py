@@ -38,6 +38,7 @@ def symbolic_rank(xi, s) -> Ordinal:
     same way membership does.  Only initial segments of members carry a
     symbolic rank; anything else is rejected.
     """
+    xi = as_ordinal(xi)
     s = as_finset(s)
     r = residual_after(xi, s)
     if r is None:

@@ -339,20 +339,6 @@ def test_parse_family_literals():
             parse_family(bad)
 
 
-def test_b_kind_root_resolved_once():
-    spec = parse_family("B:2")
-    assert spec.system_ordinal() is omega_power(2)
-    assert spec.system_ordinal() is spec.system_ordinal()
-    # the root is no field: equality, hash and repr see the literal only
-    twin = FamilySpec(kind="B", ordinal=as_ordinal(2))
-    assert spec == twin and hash(spec) == hash(twin)
-    assert repr(spec) == repr(twin) and "_root" not in repr(spec)
-    assert spec != parse_family("A:w^2")
-    for s in subsets_of(10):
-        assert spec.member(s) == uniform_member(omega_power(2), s)
-        assert spec.star(s) == uniform_star(omega_power(2), s)
-
-
 def test_family_literal_roundtrip():
     for text in ("A:w^2", "B:1", "F:w", "exL", "exR", "ex112"):
         spec = parse_family(text)

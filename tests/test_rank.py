@@ -43,6 +43,15 @@ def test_symbolic_rank_rejects_dead_ends():
         symbolic_rank(o("2"), (2, 5, 7))
 
 
+def test_symbolic_rank_checks_xi_before_the_set():
+    # with both arguments bad, the ordinal's error wins
+    for bad_set in ((0,), (3, 1), ("x",)):
+        with pytest.raises(TypeError, match="as an ordinal"):
+            symbolic_rank("x", bad_set)
+    with pytest.raises(ValueError, match=">= 1"):
+        symbolic_rank(o("2"), (0,))
+
+
 def test_closure_index_symbolic():
     assert closure_index(parse_family("A:w")) == o("w+1")
     assert closure_index(parse_family("A:3")) == o("4")
