@@ -196,7 +196,7 @@ def _run_homogenize(args) -> Result:
             return NEGATIVE, {"status": "exhausted"}, ["exhausted"]
         ok, reason = verify_certificate(cert, coloring=coloring)
     finally:
-        close = getattr(coloring, "close", None)
+        close = getattr(coloring.oracle, "close", None)
         if close is not None:
             close()
     if not ok:

@@ -98,15 +98,21 @@ class ExternalColoring:
                 f"coloring process replied {line.strip()!r}, expected an integer"
             ) from None
 
+    __call__ = query
+
     def close(self):
+        """Send EOF, reap the child and close both pipes, alive or not."""
         proc = self._proc
-        if proc.poll() is None:
+        try:
             proc.stdin.close()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        except BrokenPipeError:
+            pass  # flushing to a child that has exited
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
     def __enter__(self):
         return self
@@ -130,8 +136,9 @@ def get_coloring(name: str, seed: int = 0) -> Coloring:
         command = name[len("external:"):]
         if not command:
             raise ValueError("external coloring needs a command after the colon")
+        # the oracle is the process handle itself, so callers can close it
         ext = ExternalColoring(command)
-        return Coloring(ext.query, colors=ext.colors, name=name)
+        return Coloring(ext, colors=ext.colors, name=name)
     raise ValueError(
         f"unknown coloring {name!r}; built-ins: {', '.join(sorted(_BUILTINS))}"
     )

@@ -108,19 +108,7 @@ def uniform_star(xi, s: FinSet) -> bool:
 
 def union_schreier_member(a, s: FinSet) -> bool:
     a = as_ordinal(a)
-    if not s:
-        return False
-    if a.is_zero:
-        return len(s) == 1
-    if a.is_natural:
-        # closed forms for the low levels; bulk containment checks lean
-        # on these, so skip the general block recursion
-        n = a.as_int()
-        if n == 1:
-            return len(s) <= s[0]
-        if n == 2:
-            return _schreier_star_parts(s) <= s[0]
-    return _greedy_covers(a, s, {})
+    return bool(s) and _union_test(a)(s)
 
 
 def _greedy_covers(a: Ordinal, s: FinSet, cache) -> bool:
@@ -173,47 +161,6 @@ def _longest_block(b: Ordinal, s: FinSet, i: int, cache) -> int:
     return out
 
 
-# -- named example families -------------------------------------------
-
-
-def _exL_member(s: FinSet) -> bool:
-    return bool(s) and len(s) == 2 * s[0] + 1
-
-
-def _exL_star(s: FinSet) -> bool:
-    return not s or len(s) <= 2 * s[0] + 1
-
-
-def _exR_member(s: FinSet) -> bool:
-    return bool(s) and len(s) == s[0]
-
-
-def _exR_star(s: FinSet) -> bool:
-    return not s or len(s) <= s[0]
-
-
-def _ex112_section_ordinal(n: int) -> Ordinal:
-    # mixed 2w-uniform family: section at 1 is the 5-sets, at 2 the
-    # |s|=min s family, above 2 the system family at w+n
-    if n == 1:
-        return as_ordinal(5)
-    if n == 2:
-        return OMEGA
-    return OMEGA + n
-
-
-def _ex112_member(s: FinSet) -> bool:
-    if not s:
-        return False
-    return uniform_member(_ex112_section_ordinal(s[0]), s[1:])
-
-
-def _ex112_star(s: FinSet) -> bool:
-    if not s:
-        return True
-    return uniform_star(_ex112_section_ordinal(s[0]), s[1:])
-
-
 # -- family literals --------------------------------------------------
 
 _ORDINAL_KINDS = ("A", "B", "F")
@@ -236,17 +183,16 @@ class FamilySpec:
     name: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind in _ORDINAL_KINDS:
-            if self.ordinal is None:
-                raise ValueError(f"kind {self.kind} needs an ordinal")
-        elif self.kind in _NAMED_KINDS:
-            if self.ordinal is not None:
-                raise ValueError(f"kind {self.kind} takes no ordinal")
-        elif self.kind == "custom":
-            if self.predicate is None:
-                raise ValueError("custom kind needs a membership predicate")
-        else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+        # the resolved tests live outside the fields, so ==, hash and repr
+        # see the literal only
+        member, star = _resolve(self)
+        object.__setattr__(self, "_member", member)
+        object.__setattr__(self, "_star", star)
+
+    def __reduce__(self):
+        # the resolved tests are closures: rebuild them from the fields
+        return type(self), (self.kind, self.ordinal, self.predicate,
+                            self.star_predicate, self.name)
 
     # the system ordinal actually consumed by the residual walk, when the
     # family is a system family
@@ -258,36 +204,11 @@ class FamilySpec:
         return None
 
     def member(self, s: FinSet) -> bool:
-        xi = self.system_ordinal()
-        if xi is not None:
-            return uniform_member(xi, s)
-        if self.kind == "F":
-            return union_schreier_member(self.ordinal, s)
-        if self.kind == "exL":
-            return _exL_member(s)
-        if self.kind == "exR":
-            return _exR_member(s)
-        if self.kind == "ex112":
-            return _ex112_member(s)
-        return bool(self.predicate(s))
+        return self._member(s)
 
     def star(self, s: FinSet) -> bool:
         """Initial-segment closure test over the infinite ground line."""
-        xi = self.system_ordinal()
-        if xi is not None:
-            return uniform_star(xi, s)
-        if self.kind == "F":
-            # nonempty initial segments of members are members
-            return not s or union_schreier_member(self.ordinal, s)
-        if self.kind == "exL":
-            return _exL_star(s)
-        if self.kind == "exR":
-            return _exR_star(s)
-        if self.kind == "ex112":
-            return _ex112_star(s)
-        if self.star_predicate is None:
-            raise ValueError(f"no initial-segment test available for {self.literal()}")
-        return bool(self.star_predicate(s))
+        return self._star(s)
 
     def down(self, s: FinSet) -> bool:
         """Subset-closure test over the infinite ground line (closed forms).
@@ -306,6 +227,51 @@ class FamilySpec:
 
     def __str__(self) -> str:
         return self.literal()
+
+
+def _resolve(spec: FamilySpec):
+    """Check a family literal and pick its member and star tests, once."""
+    kind = spec.kind
+    if kind in _ORDINAL_KINDS:
+        if spec.ordinal is None:
+            raise ValueError(f"kind {kind} needs an ordinal")
+        a = as_ordinal(spec.ordinal)
+        if kind == "F":
+            # nonempty initial segments of members are members
+            test = _union_test(a)
+            return (lambda s: bool(s) and test(s)), (lambda s: not s or test(s))
+        root = a if kind == "A" else omega_power(a)
+        return (lambda s: residual_after(root, s) is ZERO,
+                lambda s: residual_after(root, s) is not None)
+    if kind in _NAMED_KINDS:
+        if spec.ordinal is not None:
+            raise ValueError(f"kind {kind} takes no ordinal")
+        if kind == "exL":
+            return (lambda s: bool(s) and len(s) == 2 * s[0] + 1,
+                    lambda s: not s or len(s) <= 2 * s[0] + 1)
+        if kind == "exR":
+            return (lambda s: bool(s) and len(s) == s[0],
+                    lambda s: not s or len(s) <= s[0])
+
+        def walk(s):
+            # ex112, mixed 2w-uniform: the section at 1 is the 5-sets, at 2
+            # the |s|=min s family, above 2 the system family at w+n
+            n = s[0]
+            sec = as_ordinal(5) if n == 1 else OMEGA if n == 2 else OMEGA + n
+            return residual_after(sec, s[1:])
+        return (lambda s: bool(s) and walk(s) is ZERO,
+                lambda s: not s or walk(s) is not None)
+    if kind != "custom":
+        raise ValueError(f"unknown family kind {kind!r}")
+    pred, star = spec.predicate, spec.star_predicate
+    if pred is None:
+        raise ValueError("custom kind needs a membership predicate")
+    if star is None:
+        missing = f"no initial-segment test available for {spec.literal()}"
+
+        def star(s):
+            raise ValueError(missing)
+    return (lambda s: bool(pred(s))), (lambda s: bool(star(s)))
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -346,14 +312,9 @@ def _down_test(spec: FamilySpec) -> Callable[[FinSet], bool]:
 
     Raises ValueError for a family with no closed form.
     """
-    if spec.kind == "exR":
-        return lambda t: not t or len(t) <= t[0]
-    if spec.kind == "exL":
-        return lambda t: not t or len(t) <= 2 * t[0] + 1
-    if spec.kind == "F":
-        # hereditary already: subsets of members are members (or empty)
-        member = _union_test(spec.ordinal)
-        return lambda t: not t or member(t)
+    if spec.kind in ("exL", "exR", "F"):
+        # their initial-segment closures are subset-closed already
+        return spec._star
     xi = spec.system_ordinal()
     if xi is not None:
         if xi.is_natural:

@@ -48,9 +48,11 @@ from .ordinals import (
 )
 
 
-# hereditary predicates are checked on the nonempty subsets of this many
-# leading window elements; whether the empty set belongs is their own call
-_PROBE = 12
+def _probe_hereditary(hered, window: Window) -> None:
+    """Check hered on the nonempty subsets of the first 12 window elements;
+    whether the empty set belongs is the predicate's own call."""
+    check_hereditary(hered, subsets_of(window.ground[:12],
+                                       include_empty=False))
 
 
 def _lex_first(ground: Sequence[int], target: int, admit, state=None):
@@ -122,7 +124,7 @@ def _shared_color(coloring: Coloring, color, members):
     return color
 
 
-def _homogenize_admit(spec: FamilySpec, coloring: Coloring):
+def _homogenize_admit(spec: FamilySpec, coloring):
     """homogenize's admit rule and root state for _lex_first.
 
     A state is (colour fixed so far or None, frontier).  For a system
@@ -285,7 +287,10 @@ def sperner_refine(spec: FamilySpec, window: Window,
     Equivalent to homogenizing against the minimal members: within any L,
     members are pairwise incomparable iff each one has no proper member
     subset, so the search admits an element only while every member it
-    completes stays minimal.
+    completes stays minimal: homogenize's admit with minimality as the
+    colour.  Both admits meet every member subset of a member before the
+    member itself, so the first member met is minimal and fixes the
+    colour at True.
     """
     if target < 1:
         raise ValueError("target must be at least 1")
@@ -297,11 +302,8 @@ def sperner_refine(spec: FamilySpec, window: Window,
             for s in combinations(t, k)
         )
 
-    def admit(partial, e, state):
-        return all(not spec.member(s + (e,)) or minimal(s + (e,))
-                   for s in subsets_of(partial)), state
-
-    hit = _lex_first(window.ground, target, admit)
+    admit, root = _homogenize_admit(spec, minimal)
+    hit = _lex_first(window.ground, target, admit, root)
     if hit is None:
         return None
     L, _ = hit
@@ -326,8 +328,7 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     """
     hered = hereditary_predicate(hered_desc)
     down = _down_test(spec)  # raises before the probe without a closed form
-    check_hereditary(hered, subsets_of(window.ground[:_PROBE],
-                                       include_empty=False))
+    _probe_hereditary(hered, window)
     ground = window.ground
     if not 1 <= target <= len(ground):
         raise ValueError("target outside the window")
@@ -416,8 +417,7 @@ def detect_chain(hered_desc: str, window: Window,
     if depth < 1:
         raise ValueError("depth must be at least 1")
     hered = hereditary_predicate(hered_desc)
-    check_hereditary(hered, subsets_of(window.ground[:_PROBE],
-                                       include_empty=False))
+    _probe_hereditary(hered, window)
     root_empty = hered(EMPTY)
     needed = depth - 1 if root_empty else depth
     hit = _lex_first(window.ground, needed,

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from schreier import colorings
 from schreier.cli import build_parser, main
 from schreier.finsets import Window
 
@@ -208,7 +209,15 @@ def test_homogenize_exhaustion(capsys):
     assert doc == {"status": "exhausted"}
 
 
-def test_homogenize_external_coloring(capsys):
+def test_homogenize_external_coloring(capsys, monkeypatch):
+    procs = []
+
+    class Recording(colorings.ExternalColoring):
+        def __init__(self, command, colors=2):
+            super().__init__(command, colors)
+            procs.append(self._proc)
+
+    monkeypatch.setattr(colorings, "ExternalColoring", Recording)
     cmd = (f"external:{sys.executable} -c \""
            "import sys\n"
            "for line in sys.stdin:\n"
@@ -219,6 +228,10 @@ def test_homogenize_external_coloring(capsys):
                           "--target", "4")
     assert rc == 0
     assert doc["certificate"]["witness"] == [1, 3, 5, 7]
+    # the child is reaped and both pipes closed before main returns
+    [proc] = procs
+    assert proc.poll() is not None
+    assert proc.stdin.closed and proc.stdout.closed
 
 
 def test_dichotomy_branch_b(capsys):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from schreier import search
 from schreier.certificates import make_certificate, verify_certificate
 from schreier.colorings import Coloring, get_coloring, hash_coloring
-from schreier.families import (parse_family, residual_after, uniform_member,
-                               uniform_star)
+from schreier.families import (FamilySpec, parse_family, residual_after,
+                               uniform_member, uniform_star)
 from schreier.finsets import Window, subsets_of
 from schreier.ordinals import ZERO, compare, from_int, parse_ordinal
 from schreier.rank import index_compare
@@ -292,6 +292,37 @@ def test_homogenize_witness_matches_subset_search(family):
         L, color = hit
         assert cert.witness == L
         assert cert.payload_dict()["color"] == (1 if color is None else color)
+
+
+def oracle_sperner_admit(spec):
+    def minimal(t):
+        return not any(spec.member(s) for k in range(1, len(t))
+                       for s in combinations(t, k))
+
+    def admit(partial, e, state):
+        return all(not spec.member(s + (e,)) or minimal(s + (e,))
+                   for s in subsets_of(partial)), state
+    return admit
+
+
+# the system families are Sperner already, so the rejections come from
+# the kinds that keep the subset admit
+SPERNER_FAMILIES = [parse_family(f) for f in FRONTIER_FAMILIES
+                    + ["F:1", "F:2", "exL", "ex112"]] + [FamilySpec(
+    kind="custom", predicate=lambda s: len(s) in (2, 3) and s[0] % 2 == 1,
+    name="odd-min-pairs-and-triples")]
+
+
+@pytest.mark.parametrize("spec", SPERNER_FAMILIES, ids=str)
+def test_sperner_witness_matches_subset_search(spec):
+    for window, target in ((Window(1, 12), 3), (Window(1, 14), 5),
+                           (Window(2, 16), 6), (Window(1, 6), 6)):
+        cert = sperner_refine(spec, window, target)
+        hit = _lex_first(window.ground, target, oracle_sperner_admit(spec))
+        if hit is None:
+            assert cert is None
+            continue
+        assert cert.witness == hit[0]
 
 
 # -- hereditary_dichotomy ---------------------------------------------
