@@ -144,7 +144,10 @@ def hereditary_predicate(desc: str) -> Callable[[FinSet], bool]:
 
 def _verify_homogeneous(cert: Certificate, coloring: Optional[Coloring]):
     p = cert.payload_dict()
-    spec = parse_family(cert.family)
+    try:
+        spec = parse_family(cert.family)
+    except ValueError as e:
+        return False, str(e)
     target = p.get("target")
     color = p.get("color")
     name = p.get("coloring", "")
@@ -174,7 +177,10 @@ def _verify_homogeneous(cert: Certificate, coloring: Optional[Coloring]):
 
 def _verify_dichotomy(cert: Certificate, branch: str):
     p = cert.payload_dict()
-    spec = parse_family(cert.family)
+    try:
+        spec = parse_family(cert.family)
+    except ValueError as e:
+        return False, str(e)
     try:
         hered = hereditary_predicate(p.get("hereditary", ""))
     except CertificateError as e:
@@ -195,7 +201,10 @@ def _verify_dichotomy(cert: Certificate, branch: str):
 
 
 def _verify_sperner(cert: Certificate):
-    spec = parse_family(cert.family)
+    try:
+        spec = parse_family(cert.family)
+    except ValueError as e:
+        return False, str(e)
     members = [s for s in subsets_of(cert.witness, include_empty=False)
                if spec.member(s)]
     for i, s in enumerate(members):

@@ -26,7 +26,8 @@ closures computed on a window only count witnesses inside the window
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .finsets import (EMPTY, FinSet, Window, mask_of, set_of_mask,
                       shortlex_key, subsets_of)
@@ -476,30 +477,45 @@ def _lex_walk(ground: Sequence[int], root, step, closed) -> Iterator[FinSet]:
 
 
 def _member_counts(xi: Ordinal, ground: Sequence[int], j: int = 0):
-    """Counts of the members of residual r over ground[i:], keyed (r, i),
-    for every pair reached from (xi, j), in Python ints."""
+    """Per-state count rows of the system family at xi over the ground list.
+
+    Returns (rows, lo).  Each nonzero state r reached from (xi, j) has a
+    row, a list indexed by position: rows[r][i] is the number of members of
+    the state-r family over ground[i:], in Python ints, for i from r's least
+    covered start lo[r] up to len(ground); entries below lo[r] are None.
+    The zero state has no row; its one member, the empty set, counts 1.
+    """
     n = len(ground)
-    count = {}
+    rows: Dict[Ordinal, List[Optional[int]]] = {}
+    lo: Dict[Ordinal, int] = {}
 
     def fill(r: Ordinal, i: int) -> int:
-        # a state's entries run from its least start to n; extend them down
-        # to i in a loop, so the recursion follows descents only
-        got = count.get((r, i))
-        if got is None:
-            if r is ZERO:
-                got = count[r, i] = 1  # the empty set
-            else:
-                m = i
-                while m < n and (r, m) not in count:
-                    m += 1
-                got = count.setdefault((r, m), 0)  # m == n: nothing left
-                for m in range(m - 1, i - 1, -1):
-                    got += fill(descend(r, ground[m]), m + 1)
-                    count[r, m] = got
+        # a row is covered from lo[r] to n; extend it down to i in a loop,
+        # so the recursion follows descents only
+        row = rows.get(r)
+        if row is None:
+            row = rows[r] = [None] * n + [0]  # position n: nothing left
+            m = n
+        else:
+            got = row[i]
+            if got is not None:
+                return got
+            m = lo[r]
+        got = row[m]
+        memo = r._next
+        for m in range(m - 1, i - 1, -1):
+            x = ground[m]
+            d = memo.get(x)
+            if d is None:
+                d = descend(r, x)
+            got += 1 if d is ZERO else fill(d, m + 1)
+            row[m] = got
+        lo[r] = i
         return got
 
-    fill(xi, j)
-    return count
+    if xi is not ZERO:
+        fill(xi, j)
+    return rows, lo
 
 
 def _system_walk(xi: Ordinal, ground: Sequence[int]) -> Iterator[FinSet]:
@@ -507,15 +523,16 @@ def _system_walk(xi: Ordinal, ground: Sequence[int]) -> Iterator[FinSet]:
     at xi inside the ground list, in lex order.
 
     A node's state is its residual, so each node costs one descend, and a
-    child is entered only when the per-call count table gives it members.
+    child is entered only when its state's count row gives it members
+    (the zero state counts 1, the empty set).
     """
-    count = _member_counts(xi, ground)
+    rows, _ = _member_counts(xi, ground)
 
     def step(r, t, k):
         d = descend(r, ground[k])
-        if count[d, k + 1]:
+        if d is ZERO or rows[d][k + 1]:
             return d
-        return None if count[r, k + 1] else _END
+        return None if rows[r][k + 1] else _END
 
     return _lex_walk(ground, xi, step, ZERO)
 

@@ -2,11 +2,18 @@
 
 Finite sets are uint64 bitmasks (bit e set iff element e belongs), so a
 window may reach element 62.  For a root ordinal xi the engine reads the
-count table the prefix walks use, which holds every (state, start) pair
-the root reaches and how many completions each has, then assembles one
-mask array per state, ordered by descending first element.  That ordering makes
-"all members with first element > m" a prefix slice, so sections and tail
-restrictions are O(1) views into the root array.
+per-state count rows the prefix walks use: for every state the root
+reaches, how many completions it has from each start it is reached at.
+One mask array per state, ordered by descending first element, holds the
+state's members above its least start.  That ordering makes "all members
+with first element > m" a prefix slice, so sections and tail restrictions
+are O(1) views into the root array.
+
+The rows size every array before anything is allocated, so a window whose
+arrays would together hold too many masks is refused up front.  A state's
+array is built on first demand, after the arrays of the states it descends
+to: it is allocated once, and each first-element chunk, a prefix of a
+child's array with one more bit, is or-ed straight into its slice.
 
 Only pairs the root actually demands get array coverage: a finite residual
 k, covered from every start, would otherwise cost all C(hi, k) subsets.
@@ -14,27 +21,27 @@ k, covered from every start, would otherwise cost all C(hi, k) subsets.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Dict, List
 
 import numpy as np
 
 from .families import _member_counts
 from .finsets import FinSet, set_of_mask
-from .ordinals import ZERO, Ordinal, as_ordinal, compare, descend
+from .ordinals import ZERO, Ordinal, as_ordinal, descend
 
 __all__ = ["MaskFamily", "masks_to_sets", "sort_masks"]
 
-# one uint64 per member: 2**27 members are 1 GiB of masks
-_MAX_MEMBERS = 1 << 27
+# one uint64 per mask: the state arrays may hold 2**27 masks, 1 GiB
+_MAX_MASKS = 1 << 27
 
 
 class MaskFamily:
     """The system family at xi over the window [root_start+1, hi].
 
     member_masks() holds every member whose elements all exceed
-    root_start, as bitmasks grouped by descending first element.  More
-    than 2**27 members (1 GiB of masks) raise ValueError before assembly.
+    root_start, as bitmasks grouped by descending first element.  When
+    the state arrays the assembly holds would exceed 2**27 masks (1 GiB)
+    together, ValueError is raised before any of them is allocated.
     """
 
     def __init__(self, xi, hi: int, root_start: int = 0):
@@ -50,55 +57,62 @@ class MaskFamily:
             # the family {empty set}
             self._root = np.zeros(1, dtype=np.uint64)
             return
-        self._cnt = _member_counts(xi, range(1, hi + 1), root_start)
-        members = self.member_count()
-        if members > _MAX_MEMBERS:
+        rows, lo = _member_counts(xi, range(1, hi + 1), root_start)
+        self._row = rows[xi]
+        held = sum(row[lo[r]] for r, row in rows.items())
+        if held > _MAX_MASKS:
             raise ValueError(
-                f"{members} members would take {members * 8 / 2**30:.1f} GiB "
-                f"of masks; the limit is {_MAX_MEMBERS} members (1 GiB)")
-        self._assemble()
+                f"{self.member_count()} members need {held} masks in the "
+                f"state arrays, {held * 8 / 2**30:.1f} GiB; the limit is "
+                f"{_MAX_MASKS} masks (1 GiB)")
+        self._root = self._assemble(rows, lo)
 
-    def _count_at(self, r: Ordinal, m: int) -> int:
-        """Members of the state-r family inside (m, hi]."""
-        got = self._cnt.get((r, m))
-        if got is None:
-            raise ValueError(f"start {m} below covered range for state")
-        return got
+    def _count_at(self, m: int) -> int:
+        """Members of the root family inside (m, hi]."""
+        if not self.root_start <= m <= self.hi:
+            raise ValueError(
+                f"start {m} outside the covered range "
+                f"[{self.root_start}, {self.hi}]")
+        return self._row[m]
 
     # -- mask arrays ----------------------------------------------------
 
-    def _assemble(self):
-        # each state is covered from the least start the root reaches it at
-        lo: Dict[Ordinal, int] = {}
-        for r, m in self._cnt:
-            if r is not ZERO and m < lo.get(r, m + 1):
-                lo[r] = m
+    def _assemble(self, rows, lo) -> np.ndarray:
+        # position k of the ground list range(1, hi + 1) holds element k + 1
         arrays: Dict[Ordinal, np.ndarray] = {}
-        for r in sorted(lo, key=cmp_to_key(compare)):
-            chunks: List[np.ndarray] = []
-            for n in range(self.hi, lo[r], -1):
-                bit = np.uint64(1 << n)
-                d = descend(r, n)
+
+        def build(r: Ordinal) -> np.ndarray:
+            row = rows[r]
+            out = arrays[r] = np.empty(row[lo[r]], dtype=np.uint64)
+            off = 0
+            memo = r._next
+            for k in range(self.hi - 1, lo[r] - 1, -1):
+                e = k + 1
+                bit = np.uint64(1 << e)
+                d = memo.get(e)
+                if d is None:
+                    d = descend(r, e)
                 if d is ZERO:
-                    chunks.append(np.array([bit], dtype=np.uint64))
-                else:
-                    c = self._cnt[d, n]
-                    if c:
-                        chunks.append(arrays[d][:c] | bit)
-            arrays[r] = (
-                np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
-            )
-        self._root = arrays[self.xi]
-        # subsidiary arrays are copies inside the root; free them
-        del arrays
+                    out[off] = bit
+                    off += 1
+                    continue
+                c = rows[d][k + 1]
+                if c:
+                    sub = arrays.get(d)
+                    if sub is None:
+                        sub = build(d)
+                    np.bitwise_or(sub[:c], bit, out=out[off:off + c])
+                    off += c
+            return out
+
+        return build(self.xi)
 
     # -- public views -------------------------------------------------
 
     def member_count(self, above: int | None = None) -> int:
         if self.xi.is_zero:
             return 1
-        m = self.root_start if above is None else above
-        return self._count_at(self.xi, m)
+        return self._count_at(self.root_start if above is None else above)
 
     def member_masks(self, above: int | None = None) -> np.ndarray:
         """Members with all elements > above (default: the whole window).
@@ -115,8 +129,8 @@ class MaskFamily:
             raise ValueError("the zero-index family has no sections")
         if not self.root_start < m <= self.hi:
             raise ValueError(f"section point {m} outside ({self.root_start}, {self.hi}]")
-        start = self._count_at(self.xi, m)
-        stop = self._count_at(self.xi, m - 1)
+        start = self._count_at(m)
+        stop = self._count_at(m - 1)
         return self._root[start:stop] ^ np.uint64(1 << m)
 
 

@@ -18,9 +18,9 @@ from schreier.certificates import (
     verify_certificate,
 )
 from schreier.colorings import Coloring, get_coloring, hash_coloring
-from schreier.families import parse_family
+from schreier.families import FamilySpec, parse_family
 from schreier.finsets import Window
-from schreier.search import homogenize
+from schreier.search import homogenize, sperner_refine
 
 
 def good_homogeneous():
@@ -199,6 +199,27 @@ def test_chain_verifier():
         {"hereditary": "down:A:3", "depth": 4, "chain": [[1], [1, 2]]})
     ok, reason = verify_certificate(shallow)
     assert not ok and "depth" in reason
+
+
+def test_unparseable_family_is_rejected_not_raised():
+    # a custom family has no literal, so its certificate cannot be rechecked
+    pairs = FamilySpec(kind="custom", predicate=lambda s: len(s) == 2,
+                       name="pairs")
+    refined = sperner_refine(pairs, Window(1, 8), 4)
+    assert refined.family == "pairs"
+    ok, reason = verify_certificate(refined)
+    assert not ok and "bad family literal 'pairs'" in reason
+    forged = [
+        make_certificate("Homogeneous", "nonsense", Window(1, 10), (1, 3, 5),
+                         {"coloring": "parity-sum", "color": 1, "target": 3}),
+        make_certificate("DichotomyBranchA", "nonsense", Window(1, 10), (1, 2),
+                         {"hereditary": "all", "branch": "A", "target": 2}),
+        make_certificate("DichotomyBranchB", "A:w+", Window(1, 10), (1, 2),
+                         {"hereditary": "all", "branch": "B", "target": 2}),
+    ]
+    for cert in forged:
+        ok, reason = verify_certificate(cert)
+        assert not ok and reason, cert.kind
 
 
 def test_unknown_kind_rejected():

@@ -381,6 +381,21 @@ def test_verify_rejects_edited_certificate(capsys, monkeypatch, tmp_path):
                    "reason": "(1, 2, 3, 4) is outside the family"}
 
 
+def test_verify_unparseable_family_is_rejected(capsys, monkeypatch):
+    # a well-formed, re-hashed document naming no family is a failed
+    # claim (exit 1), not a usage error (exit 2)
+    from schreier.certificates import make_certificate, to_json
+
+    forged = make_certificate("Homogeneous", "nonsense", Window(1, 10),
+                              (1, 3, 5), {"coloring": "parity-sum",
+                                          "color": 1, "target": 3})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(to_json(forged)))
+    rc, doc, _ = run_json(capsys, "verify", "--cert", "-")
+    assert rc == 1
+    assert doc["verified"] is False and doc["kind"] == "Homogeneous"
+    assert "bad family literal 'nonsense'" in doc["reason"]
+
+
 def test_verify_malformed_certificate_is_usage_error(capsys, monkeypatch,
                                                      tmp_path):
     monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))

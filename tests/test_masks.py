@@ -6,15 +6,19 @@ size-equals-min family on [1,n] has Fibonacci(n) members; the two-block
 variant is a convolution of boundary-split counts).
 """
 
+import hashlib
 import time
+import tracemalloc
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from schreier.families import FamilySpec, enumerate_family, section
-from schreier.finsets import Window, mask_of
+from schreier.families import (FamilySpec, _member_counts, enumerate_family,
+                               section, uniform_member)
+from schreier.finsets import Window, mask_of, subsets_of
 from schreier.masks import MaskFamily, masks_to_sets, sort_masks
 from schreier.ordinals import parse_ordinal
 
@@ -54,12 +58,14 @@ def test_tail_restriction_is_prefix_slice():
 
 
 def test_restricted_root_instance():
-    # building with root_start m equals filtering the full build
-    full = MaskFamily(parse_ordinal("w*2"), 14)
-    part = MaskFamily(parse_ordinal("w*2"), 14, root_start=4)
-    a = np.sort(full.member_masks(above=4))
-    b = np.sort(part.member_masks())
-    assert np.array_equal(a, b)
+    # building with root_start m equals filtering the full build; on
+    # [1,14] no member lies above 4, on [1,21] 4,326 members lie above 3
+    for hi, m in ((14, 4), (21, 3)):
+        full = MaskFamily(parse_ordinal("w*2"), hi)
+        part = MaskFamily(parse_ordinal("w*2"), hi, root_start=m)
+        a = np.sort(full.member_masks(above=m))
+        b = np.sort(part.member_masks())
+        assert np.array_equal(a, b)
 
 
 def test_zero_root_is_empty_set_only():
@@ -76,6 +82,76 @@ def test_section_bounds_checked():
         fam.section_masks(13)
     got = sorted(masks_to_sets(fam.section_masks(3)))
     assert got == sorted(section(spec_of("w"), 3, Window(1, 12)))
+
+
+def test_member_count_range_checked():
+    # the root's counts cover the starts root_start..hi
+    fam = MaskFamily(2, 10, root_start=3)
+    with pytest.raises(ValueError, match=r"start 2 outside the covered range \[3, 10\]"):
+        fam.member_count(2)
+    assert fam.member_count(10) == 0
+    assert len(fam.member_masks(above=10)) == 0
+    with pytest.raises(ValueError, match=r"start 11 outside the covered range \[3, 10\]"):
+        fam.member_count(11)
+
+
+# -- pinned arrays ----------------------------------------------------
+#
+# SHA-256 of member_masks().tobytes(), recorded from the build that
+# assembled the arrays by concatenating sorted state arrays.  The hash
+# fixes the order as well as the set: sections and `above` slices are
+# read off the order.
+
+PINNED_ARRAYS = [
+    ("w", 28, 0, 317811,
+     "b221cee41c5f9ff9a0267d62d9dc61cbc2a13804c8ac0e55016a4a2957a98666"),
+    ("w+1", 23, 0, 170711,
+     "0fcb937380390954fab6b0b623aab509f41f12a5b9dafc16d317837572573cb4"),
+    ("w*2", 21, 0, 80659,
+     "63c12f9cde2567c195a8452d633eff78a377854ade0f81d30c8ecd8b456a8c20"),
+    ("w^2", 21, 0, 37285,
+     "731defa43b0f9e7e4e289c197a70d469006d55cb46ab3127f7f6156d101ff418"),
+    ("w^w", 18, 0, 6673,
+     "4de91f98fa536c3eea8d6a50d12ec2619b1a21e490b262623f946f2b7b957afb"),
+    # these two windows hold no member above their root_start
+    ("w*2", 14, 4, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("w^2", 16, 2, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("w*2", 21, 3, 4326,
+     "2242c60f5b6f06a44513b66d15ee524c01df464127134304067870f219d1afec"),
+    ("w^2", 21, 1, 37284,
+     "101eeae285318e9ef1b6d4bbe588b0958c9b4cef021bcbf288928ecc608b13b5"),
+]
+
+
+@pytest.mark.parametrize("xi_text,hi,root_start,count,digest", PINNED_ARRAYS)
+def test_pinned_mask_arrays(xi_text, hi, root_start, count, digest):
+    masks = MaskFamily(parse_ordinal(xi_text), hi,
+                       root_start=root_start).member_masks()
+    assert len(masks) == count
+    assert hashlib.sha256(masks.tobytes()).hexdigest() == digest
+
+
+# -- count rows -------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(xi_text=st.sampled_from(SAMPLED),
+       ground=st.lists(st.integers(1, 40), min_size=1, max_size=12,
+                       unique=True).map(sorted),
+       data=st.data())
+def test_count_rows_match_brute_counts(xi_text, ground, data):
+    xi = parse_ordinal(xi_text)
+    j = data.draw(st.integers(0, len(ground)), label="j")
+    rows, lo = _member_counts(xi, ground, j)
+    assert lo[xi] == j
+    # a member over ground[i:] is one whose first element sits at i or later
+    first = [ground.index(s[0]) for s in subsets_of(tuple(ground),
+                                                     include_empty=False)
+             if uniform_member(xi, s)]
+    for i in range(j, len(ground) + 1):
+        assert rows[xi][i] == sum(1 for p in first if p >= i), i
 
 
 # -- frozen wide-window counts ---------------------------------------
@@ -140,6 +216,32 @@ def test_window_over_member_limit_refused():
     with pytest.raises(ValueError, match="939683219 members .* GiB"):
         MaskFamily(parse_ordinal("w*2"), 36)
     assert time.perf_counter() - start < 1.0
+
+
+def test_held_arrays_over_limit_refused():
+    # A:w on [1,40] has 102,334,155 members, under the 2**27 limit, but
+    # the state arrays the assembly holds would take 204,668,309 masks
+    # (1.5 GiB); the count rows must refuse it before any allocation
+    start = time.perf_counter()
+    with pytest.raises(ValueError,
+                       match="102334155 members need 204668309 masks .* GiB"):
+        MaskFamily(parse_ordinal("w"), 40)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_assembly_peak_stays_within_held_arrays():
+    # every state array is written in place, so tracing sees the held
+    # arrays and little else: no concatenated temporaries
+    xi = parse_ordinal("w")
+    rows, lo = _member_counts(xi, range(1, 31))
+    held = 8 * sum(row[lo[r]] for r, row in rows.items())
+    tracemalloc.start()
+    try:
+        MaskFamily(xi, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= held + 2**20, (peak, held)
 
 
 def test_sort_masks_orders_numerically():
