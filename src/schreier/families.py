@@ -26,8 +26,7 @@ closures computed on a window only count witnesses inside the window
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .finsets import (EMPTY, FinSet, Window, mask_of, set_of_mask,
                       shortlex_key, subsets_of)
@@ -486,8 +485,8 @@ def _member_counts(xi: Ordinal, ground: Sequence[int], j: int = 0):
     The zero state has no row; its one member, the empty set, counts 1.
     """
     n = len(ground)
-    rows: Dict[Ordinal, List[Optional[int]]] = {}
-    lo: Dict[Ordinal, int] = {}
+    rows = {}
+    lo = {}
 
     def fill(r: Ordinal, i: int) -> int:
         # a row is covered from lo[r] to n; extend it down to i in a loop,
