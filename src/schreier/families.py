@@ -26,10 +26,10 @@ closures computed on a window only count witnesses inside the window
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
-from .finsets import (EMPTY, FinSet, Window, mask_of, set_of_mask,
-                      shortlex_key, subsets_of)
+from .finsets import (EMPTY, FinSet, Window, mask_of, shortlex_key,
+                      subsets_of)
 from .ordinals import (
     ONE,
     OMEGA,
@@ -55,12 +55,10 @@ __all__ = [
     "enumerate_family",
     "section",
     "star_closure",
-    "down_closure",
     "check_thin",
     "check_sperner",
     "enumerate_union_schreier",
     "iter_union_schreier",
-    "spread_union_schreier",
 ]
 
 
@@ -382,21 +380,6 @@ def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
     return sorted(seen, key=shortlex_key)
 
 
-def down_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
-    """Subsets of members found within the window, shortlex (same caveat)."""
-    seen = set()
-    for s in enumerate_family(spec, window):
-        m = mask_of(s)
-        # walk all submasks
-        sub = m
-        while True:
-            seen.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-    return sorted((set_of_mask(x) for x in seen), key=shortlex_key)
-
-
 def check_thin(spec: FamilySpec, window: Window):
     """No member a proper initial segment of another, within the window.
 
@@ -449,10 +432,10 @@ _END = object()
 def _lex_walk(ground: Sequence[int], root, step, closed) -> Iterator[FinSet]:
     """Every node below the root that step keeps, in lex order.
 
-    step(state, t, k) gives the state of t = s + (ground[k],), a child of
-    s in that state.  It returns None to drop t and everything under it,
-    and _END to drop t and its later siblings too.  A node whose state is
-    `closed` is yielded but not expanded; neither is a closed root.
+    step(state, x, k) gives the state of s + (x,), x = ground[k], a child
+    of s in that state.  It returns None to drop that child and everything
+    under it, and _END to drop its later siblings too.  A node whose state
+    is `closed` is yielded but not expanded; neither is a closed root.
     """
     n = len(ground)
     singles = [(x,) for x in ground]
@@ -461,7 +444,7 @@ def _lex_walk(ground: Sequence[int], root, step, closed) -> Iterator[FinSet]:
         s, state, ks = stack[-1]
         for k in ks:
             t = s + singles[k]
-            c = step(state, t, k)
+            c = step(state, ground[k], k)
             if c is None:
                 continue
             if c is _END:
@@ -527,8 +510,8 @@ def _system_walk(xi: Ordinal, ground: Sequence[int]) -> Iterator[FinSet]:
     """
     rows, _ = _member_counts(xi, ground)
 
-    def step(r, t, k):
-        d = descend(r, ground[k])
+    def step(r, x, k):
+        d = descend(r, x)
         if d is ZERO or rows[d][k + 1]:
             return d
         return None if rows[r][k + 1] else _END
@@ -572,25 +555,23 @@ def _union_test(a: Ordinal) -> Callable[[FinSet], bool]:
 def _union_step(a: Ordinal, ground: Sequence[int]):
     """Root state and step of the level-a walk over ground.
 
-    A node's state is false when its children are not members.  Levels 1
-    and 2 answer the first-child test from the prefix alone: at level 2
-    the state holds the greedy part count and where the last part ends.
+    step(u, x, k) is the state of s + (x,), x = ground[k], for a member s
+    in state u, and False when its children are not members.  Levels 1 and
+    2 read x alone, from the state t[0] - len(t) or (t[0] - parts, part end
+    - len(t)) for the greedy parts, None at the root; above, it is the set.
     """
     n = len(ground)
     if a == 1:
-        return True, lambda _, t, k: k + 1 < n and len(t) < t[0]
+        return None, lambda b, x, k: k + 1 < n and (x if b is None else b) - 1 or False
     if a == 2:
-        def step(state, t, k):
-            parts, end = state
-            i = len(t) - 1
-            if i == end:  # t's last element starts a part
-                parts, end = parts + 1, i + t[i]
-            if k + 1 < n and parts + (i + 1 == end) <= t[0]:
-                return parts, end
-            return False
-        return (0, 0), step
+        def step(u, x, k):
+            b, r = u or (x, 0)  # the root opens a part with x parts to spend
+            u = (b, r - 1) if r else (b - 1, x - 1)
+            return u if k + 1 < n and u != (0, 0) else False
+        return None, step
     member = _union_test(a)
-    return True, lambda _, t, k: k + 1 < n and member(t + (ground[k + 1],))
+    return EMPTY, lambda s, x, k: (k + 1 < n and member(s + (x, ground[k + 1]))
+                                   and s + (x,) or False)
 
 
 def enumerate_union_schreier(a, window: Window) -> List[FinSet]:
@@ -603,15 +584,3 @@ def iter_union_schreier(a, window: Window) -> Iterator[FinSet]:
     # singletons, the root's children, are members at every level
     root, step = _union_step(as_ordinal(a), window.ground)
     return _lex_walk(window.ground, root, step, False)
-
-
-def spread_union_schreier(a, ground_list: Tuple[int, ...]) -> List[FinSet]:
-    """The level-a family spread onto a listed ground set.
-
-    Members over positions 1..len(ground_list) are relabeled through
-    position i -> ground_list[i-1]; an increasing ground list keeps the
-    shortlex order of the positions.
-    """
-    w = Window(1, max(len(ground_list), 1))
-    return [tuple(ground_list[i - 1] for i in s)
-            for s in enumerate_union_schreier(a, w)]

@@ -105,7 +105,9 @@ class MaskFamily:
                     off += c
             return out
 
-        return build(self.xi)
+        root = build(self.xi)
+        del build  # it refers to itself: drop the cycle, and the arrays, now
+        return root
 
     # -- public views -------------------------------------------------
 

@@ -291,6 +291,16 @@ def test_transfer_shift(capsys):
     assert cert["payload"]["closure_checked"] == 10945
 
 
+def test_transfer_level_two_wide_window(capsys):
+    # counted by product state, not listed: 2.2e12 spread sets in a second
+    rc, doc, _ = run_json(capsys, "transfer", "--xi", "2",
+                          "--window", "1..45")
+    assert rc == 0
+    p = doc["certificate"]["payload"]
+    assert (p["spread_checked"], p["closure_checked"]) == (2176089831844,
+                                                           168448980192)
+
+
 def test_transfer_records_density_flag(capsys):
     rc, doc, _ = run_json(capsys, "transfer", "--xi", "1",
                           "--window", "1..15", "--assume-dense")

@@ -17,13 +17,11 @@ from schreier.families import (
     FamilySpec,
     check_sperner,
     check_thin,
-    down_closure,
     enumerate_family,
     enumerate_union_schreier,
     iter_union_schreier,
     parse_family,
     section,
-    spread_union_schreier,
     star_closure,
     uniform_member,
     uniform_star,
@@ -273,14 +271,6 @@ def test_union_appended_element_independence(a_text):
             assert len(got) == 1, s
 
 
-def test_spread_union():
-    out = spread_union_schreier(1, (3, 4, 5, 6, 7))
-    assert (5, 6, 7) in out
-    assert all(set(s) <= {3, 4, 5, 6, 7} for s in out)
-    # every spread set comes from a member over positions
-    assert (3, 4, 5, 6) not in out  # positions (1,2,3,4): size 4 > min 1
-
-
 # -- named fixtures ---------------------------------------------------
 
 
@@ -417,7 +407,6 @@ def test_enumerate_singleton_family():
     w = Window(1, 5)
     assert enumerate_family(one, w) == [(2, 3)]
     assert star_closure(one, w) == [EMPTY, (2,), (2, 3)]
-    assert down_closure(one, w) == [EMPTY, (2,), (3,), (2, 3)]
 
 
 def test_closure_outputs_are_closed():
@@ -428,12 +417,6 @@ def test_closure_outputs_are_closed():
     for s in stars:
         for k in range(len(s)):
             assert s[:k] in star_set
-    downs = down_closure(spec, w)
-    down_set = set(downs)
-    for s in downs:
-        for k in range(len(s)):
-            for t in combinations(s, k):
-                assert t in down_set
 
 
 # -- the count-pruned walk against the subset filter -----------------

@@ -1,5 +1,6 @@
 """Search operations: witnesses, branch selection, and certificate re-checks."""
 
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -9,9 +10,11 @@ from schreier import search
 from schreier.certificates import make_certificate, verify_certificate
 from schreier.colorings import Coloring, get_coloring, hash_coloring
 from schreier.families import (FamilySpec, parse_family, residual_after,
+                               union_schreier_member,
                                uniform_member, uniform_star)
 from schreier.finsets import Window, subsets_of
-from schreier.ordinals import ZERO, compare, from_int, parse_ordinal
+from schreier.ordinals import (ZERO, compare, descend, from_int,
+                               omega_power, parse_ordinal)
 from schreier.rank import index_compare
 from schreier.search import (
     StreamBudget,
@@ -512,6 +515,88 @@ def test_transfer_closure_escape_is_lex_first(monkeypatch):
         "ok": False, "reason": f"prefix {first} escapes the union level"}
 
 
+# The per-node walk that the product count replaced, kept as its oracle.
+# It visits every spread set and every witnessed prefix in lex order, tests
+# each with the definitional member and star tests, and reports the first
+# that escapes.
+
+
+def _lex_nodes(elements, keep, s=()):
+    """Nonempty sets over elements that keep accepts, in lex order; keep
+    must accept every nonempty prefix of a set it accepts."""
+    for i in range(elements.index(s[-1]) + 1 if s else 0, len(elements)):
+        t = s + (elements[i],)
+        if keep(t):
+            yield t
+            yield from _lex_nodes(elements, keep, t)
+
+
+def walked_transfer(level, window, xi):
+    ground = window.ground
+    L = ground[2:]
+    spread_checked = 0
+    for s in _lex_nodes(tuple(range(1, len(L) + 1)),
+                        lambda s: union_schreier_member(level, s)):
+        if not uniform_star(xi, tuple(L[i - 1] for i in s)):
+            return {"ok": False,
+                    "reason": f"spread of {s} lands outside the star closure"}
+        spread_checked += 1
+
+    @cache
+    def completes(r, i):
+        # some member of the state-r family lies inside ground[i:]
+        for j in range(i, len(ground)):
+            d = descend(r, ground[j])
+            if d is ZERO or completes(d, j + 1):
+                return True
+        return False
+
+    def witnessed(p):
+        r = residual_after(xi, p)
+        return r is not None and (
+            r is ZERO or completes(r, ground.index(p[-1]) + 1))
+
+    closure_checked = 0
+    for p in _lex_nodes(ground, witnessed):
+        if not union_schreier_member(level, p):
+            return {"ok": False, "reason": f"prefix {p} escapes the union level"}
+        closure_checked += 1
+    return {"ok": True, "spread_checked": spread_checked,
+            "closure_checked": closure_checked, "L": L}
+
+
+@pytest.mark.parametrize("level,hi", [(0, 3), (0, 18), (1, 4), (1, 18),
+                                      (2, 5), (2, 13), (2, 18)])
+def test_transfer_count_matches_walk(level, hi):
+    w = Window(1, hi)
+    want = walked_transfer(level, w, omega_power(from_int(level)))
+    assert search._transfer_containments(level, w) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(level=st.integers(0, 2),
+       ground=st.lists(st.integers(1, 18), min_size=3, unique=True))
+def test_transfer_count_matches_walk_thinned(level, ground):
+    w = Window(1, 18, sorted(ground))
+    want = walked_transfer(level, w, omega_power(from_int(level)))
+    assert search._transfer_containments(level, w) == want
+
+
+# A benchmark index patched below or beside w^level makes one side escape;
+# the count must report the same lex-first set as the walk, or the same
+# counts where nothing escapes.
+@pytest.mark.parametrize("xi_text", ["w", "w*2", "w*3", "w^2+1"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("window", [Window(1, 13), THINNED, Window(4, 18),
+                                    Window(2, 17, (2, 4, 5, 7, 8, 11, 12, 16, 17))],
+                         ids=["plain", "thinned", "shifted", "gapped"])
+def test_transfer_escape_matches_walk(monkeypatch, xi_text, level, window):
+    xi = o(xi_text)
+    monkeypatch.setattr(search, "omega_power", lambda a: xi)
+    assert (search._transfer_containments(level, window)
+            == walked_transfer(level, window, xi))
+
+
 def test_transfer_level_zero_trivial():
     cert = schreier_transfer(0, Window(1, 10))
     assert verify_certificate(cert)[0]
@@ -523,6 +608,39 @@ def test_transfer_level_zero_wide_window():
     cert = schreier_transfer(0, Window(1, 1500))
     p = cert.payload_dict()
     assert (p["spread_checked"], p["closure_checked"]) == (1498, 1500)
+
+
+def test_transfer_rehashed_wide_window_verifies():
+    # a well-formed document made with make_certificate alone: its check
+    # is counted, so a window of 43 positions verifies in under a second
+    base = schreier_transfer(2, Window(1, 14)).payload_dict()
+    payload = dict(base, spread_checked=2176089831844,
+                   closure_checked=168448980192)
+    cert = make_certificate("Transfer", "B:2", Window(1, 45),
+                            tuple(range(3, 46)), payload)
+    assert verify_certificate(cert) == (True, "ok")
+
+
+def test_transfer_memo_limit(monkeypatch):
+    import tracemalloc
+
+    # level 2 on [1,60] needs about 1.6 million memo cells; the check stops
+    # before the row that would pass the limit is allocated
+    monkeypatch.setattr(search, "_TRANSFER_CELLS", 4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="memo limit of 4096 cells"):
+            schreier_transfer(2, Window(1, 60))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    payload = dict(schreier_transfer(2, Window(1, 14)).payload_dict(),
+                   spread_checked=0, closure_checked=0)
+    cert = make_certificate("Transfer", "B:2", Window(1, 60),
+                            tuple(range(3, 61)), payload)
+    ok, reason = verify_certificate(cert)
+    assert not ok and "memo limit" in reason
 
 
 def test_transfer_validation():
