@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
-from .finsets import (EMPTY, FinSet, Window, mask_of, shortlex_key,
-                      subsets_of)
+from .finsets import (EMPTY, FinSet, Window, mask_of, set_of_mask,
+                      shortlex_key, subsets_of)
 from .ordinals import (
     ONE,
     OMEGA,
@@ -55,6 +55,7 @@ __all__ = [
     "enumerate_family",
     "section",
     "star_closure",
+    "down_closure",
     "check_thin",
     "check_sperner",
     "enumerate_union_schreier",
@@ -378,6 +379,21 @@ def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
         for k in range(1, len(s) + 1):
             seen.setdefault(s[:k], None)
     return sorted(seen, key=shortlex_key)
+
+
+def down_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
+    """Subsets of members found within the window, shortlex (same caveat)."""
+    seen = set()
+    for s in enumerate_family(spec, window):
+        m = mask_of(s)
+        # walk all submasks
+        sub = m
+        while True:
+            seen.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & m
+    return sorted((set_of_mask(x) for x in seen), key=shortlex_key)
 
 
 def check_thin(spec: FamilySpec, window: Window):

@@ -459,7 +459,8 @@ def _product_count(elements, a_root, a_step, b_root, b_step, b_closed):
     b_step(b, x, m) is its check state; every child of a node whose check
     state is b_closed fails the check.  Returns the number of nodes, or
     the lex-first failing node as a tuple.
-    Raises ValueError rather than hold over _TRANSFER_CELLS row cells.
+    Raises ValueError rather than hold over _TRANSFER_CELLS row cells; the
+    root's row, as long as the window, always fits.
     """
     n = len(elements)
     rows = {}
@@ -471,7 +472,7 @@ def _product_count(elements, a_root, a_step, b_root, b_step, b_closed):
         # descents only, and a lower position, lex-earlier, wins.
         row = rows.get((a, b))
         if row is None:
-            if (len(rows) + 1) * (n + 1) > _TRANSFER_CELLS:
+            if rows and (len(rows) + 1) * (n + 1) > _TRANSFER_CELLS:
                 raise ValueError(f"transfer memo limit of {_TRANSFER_CELLS} cells passed")
             row = rows[a, b] = [None] * n + [0]
         m = i

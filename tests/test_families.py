@@ -17,6 +17,7 @@ from schreier.families import (
     FamilySpec,
     check_sperner,
     check_thin,
+    down_closure,
     enumerate_family,
     enumerate_union_schreier,
     iter_union_schreier,
@@ -407,6 +408,7 @@ def test_enumerate_singleton_family():
     w = Window(1, 5)
     assert enumerate_family(one, w) == [(2, 3)]
     assert star_closure(one, w) == [EMPTY, (2,), (2, 3)]
+    assert down_closure(one, w) == [EMPTY, (2,), (3,), (2, 3)]
 
 
 def test_closure_outputs_are_closed():
@@ -417,6 +419,12 @@ def test_closure_outputs_are_closed():
     for s in stars:
         for k in range(len(s)):
             assert s[:k] in star_set
+    downs = down_closure(spec, w)
+    down_set = set(downs)
+    for s in downs:
+        for k in range(len(s)):
+            for t in combinations(s, k):
+                assert t in down_set
 
 
 # -- the count-pruned walk against the subset filter -----------------

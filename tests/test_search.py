@@ -643,6 +643,16 @@ def test_transfer_memo_limit(monkeypatch):
     assert not ok and "memo limit" in reason
 
 
+def test_transfer_memo_limit_passes_the_root_row(monkeypatch):
+    # level 0 holds one row a side, as long as the window; a window past
+    # the limit still answers, as the walk over singletons did
+    monkeypatch.setattr(search, "_TRANSFER_CELLS", 64)
+    p = schreier_transfer(0, Window(1, 200)).payload_dict()
+    assert (p["spread_checked"], p["closure_checked"]) == (198, 200)
+    with pytest.raises(ValueError, match="memo limit of 64 cells"):
+        schreier_transfer(1, Window(1, 200))
+
+
 def test_transfer_validation():
     with pytest.raises(ValueError):
         schreier_transfer(3, Window(1, 20))
