@@ -132,6 +132,9 @@ def hereditary_predicate(desc: str) -> Callable[[FinSet], bool]:
     ``member:<family>`` (plain membership; used when the left side of a
     containment is itself a family rather than a closure).
     """
+    if not isinstance(desc, str):
+        raise CertificateError(
+            f"predicate description must be a string, got {desc!r}")
     if desc == "all":
         return lambda s: True
     if desc.startswith("down:"):
@@ -183,7 +186,7 @@ def _verify_dichotomy(cert: Certificate, branch: str):
         return False, str(e)
     try:
         hered = hereditary_predicate(p.get("hereditary", ""))
-    except CertificateError as e:
+    except ValueError as e:  # CertificateError, or no test for the family
         return False, str(e)
     if branch == "A":
         try:
@@ -220,9 +223,12 @@ def _verify_chain(cert: Certificate):
     p = cert.payload_dict()
     try:
         hered = hereditary_predicate(p.get("hereditary", ""))
-    except CertificateError as e:
+    except ValueError as e:  # CertificateError, or no test for the family
         return False, str(e)
-    links = [as_finset(s) for s in p.get("chain", ())]
+    try:
+        links = [as_finset(s) for s in p.get("chain", ())]
+    except (TypeError, ValueError) as e:
+        return False, f"chain must be a list of sets: {e}"
     if len(links) != p.get("depth"):
         return False, "chain length disagrees with recorded depth"
     if not links:

@@ -62,15 +62,6 @@ def format_finset(s: FinSet) -> str:
     return "{" + ",".join(str(x) for x in s) + "}"
 
 
-def is_initial_segment(s: FinSet, t: FinSet) -> bool:
-    """True iff s consists of the first |s| elements of t (s == t allowed)."""
-    return len(s) <= len(t) and t[: len(s)] == s
-
-
-def is_proper_initial_segment(s: FinSet, t: FinSet) -> bool:
-    return len(s) < len(t) and t[: len(s)] == s
-
-
 def shortlex_key(s: FinSet):
     return (len(s), s)
 

@@ -411,6 +411,17 @@ def detect_chain(hered_desc: str, window: Window,
     For a hereditary predicate every prefix of a set it contains is again
     contained, so single-element growth steps lose no generality: a chain
     of any step sizes yields one through the prefixes of its last link.
+
+    A candidate e is admitted when partial + (e,), padded to the chain's
+    length with the largest ground elements, is in the family.  The chain
+    is sound for any predicate: at the last link the padding is empty, so
+    the link is tested itself, and heredity covers its prefixes.  It is
+    the lex-first chain when the predicate also spreads, staying true when
+    an element moves up; then no candidate is retried.  The ``down:``
+    forms of ``A:k``, ``A:w+k``, ``A:w*p+k``, ``A:w^2``, ``B:1``, ``B:2``,
+    ``exL``, ``exR`` and ``F:<level>`` spread, as do ``all`` and the
+    ``member:`` forms that pass the heredity probe (``member:A:1``,
+    ``member:F:<level>``).
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -418,8 +429,13 @@ def detect_chain(hered_desc: str, window: Window,
     _probe_hereditary(hered, window)
     root_empty = hered(EMPTY)
     needed = depth - 1 if root_empty else depth
-    hit = _lex_first(window.ground, needed,
-                     lambda partial, e, state: (hered(partial + (e,)), state))
+    ground = window.ground
+    n = len(ground)
+    # tops[k]: the k largest ground elements, all above any candidate
+    # that leaves k more to pick
+    tops = [ground[n - k:] for k in range(min(needed, n))]
+    hit = _lex_first(ground, needed, lambda partial, e, state: (
+        hered(partial + (e,) + tops[needed - len(partial) - 1]), state))
     if hit is None:
         return None
     A, _ = hit

@@ -201,6 +201,40 @@ def test_chain_verifier():
     assert not ok and "depth" in reason
 
 
+def rejected_both_ways(cert):
+    """The verdict on cert and on its JSON round-trip; each must be a
+    rejection with a reason, never a raise."""
+    for c in (cert, from_json(to_json(cert))):
+        ok, reason = verify_certificate(c)
+        assert not ok and reason
+    return reason
+
+
+@pytest.mark.parametrize("hereditary", [3, None, ["down:exL"], "down:bogus",
+                                        "down:A:w^3"], ids=repr)
+def test_malformed_hereditary_rejected(hereditary):
+    chain = make_certificate(
+        "Chain", "down:A:3", Window(1, 10), (1, 2, 3),
+        {"hereditary": hereditary, "depth": 4,
+         "chain": [[], [1], [1, 2], [1, 2, 3]]})
+    branches = [make_certificate(
+        f"DichotomyBranch{b}", "exR", Window(1, 30), (1, 2, 3, 4, 5, 6),
+        {"hereditary": hereditary, "branch": b, "target": 6}) for b in "AB"]
+    for cert in [chain] + branches:
+        reason = rejected_both_ways(cert)
+        if not isinstance(hereditary, str):
+            assert "must be a string" in reason
+
+
+@pytest.mark.parametrize("chain", [5, [1, 2], None, ["ab"], [[2, 2]]],
+                         ids=repr)
+def test_malformed_chain_rejected(chain):
+    cert = make_certificate(
+        "Chain", "down:A:3", Window(1, 10), (1, 2, 3),
+        {"hereditary": "down:A:3", "depth": 4, "chain": chain})
+    assert "chain must be a list of sets" in rejected_both_ways(cert)
+
+
 def test_unparseable_family_is_rejected_not_raised():
     # a custom family has no literal, so its certificate cannot be rechecked
     pairs = FamilySpec(kind="custom", predicate=lambda s: len(s) == 2,

@@ -406,6 +406,21 @@ def test_verify_unparseable_family_is_rejected(capsys, monkeypatch):
     assert "bad family literal 'nonsense'" in doc["reason"]
 
 
+def test_verify_mistyped_payload_is_rejected(capsys, monkeypatch):
+    # a re-hashed chain whose links are not sets is a failed claim, not a
+    # traceback
+    from schreier.certificates import make_certificate, to_json
+
+    forged = make_certificate("Chain", "down:A:3", Window(1, 10), (1, 2, 3),
+                              {"hereditary": "down:A:3", "depth": 4,
+                               "chain": 5})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(to_json(forged)))
+    rc, out, _ = run(capsys, "verify", "--cert", "-")
+    assert rc == 1
+    assert out.splitlines()[0] == "verified: false"
+    assert "chain must be a list of sets" in out
+
+
 def test_verify_malformed_certificate_is_usage_error(capsys, monkeypatch,
                                                      tmp_path):
     monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))

@@ -9,8 +9,6 @@ from schreier.finsets import (
     as_finset,
     check_hereditary,
     format_finset,
-    is_initial_segment,
-    is_proper_initial_segment,
     mask_of,
     parse_finset,
     parse_window,
@@ -111,20 +109,6 @@ def test_parse_finset_forms():
     for bad in ("2,3", "{2;3}", "{a}", ""):
         with pytest.raises(ValueError):
             parse_finset(bad)
-
-
-def test_initial_segments():
-    assert is_initial_segment((1, 3), (1, 3, 7))
-    assert is_initial_segment(EMPTY, (5,))
-    assert is_initial_segment((1, 3), (1, 3))
-    assert not is_initial_segment((3,), (1, 3))
-    assert not is_proper_initial_segment((1, 3), (1, 3))
-    assert is_proper_initial_segment(EMPTY, (5,))
-
-
-@given(sets, sets)
-def test_initial_segment_vs_definition(s, t):
-    assert is_initial_segment(s, t) == (s == t[: len(s)])
 
 
 def test_spread():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schreier import search
-from schreier.certificates import make_certificate, verify_certificate
+from schreier.certificates import (hereditary_predicate, make_certificate,
+                                  verify_certificate)
 from schreier.colorings import Coloring, get_coloring, hash_coloring
 from schreier.families import (FamilySpec, parse_family, residual_after,
                                union_schreier_member,
@@ -444,6 +445,60 @@ def test_chain_needs_min_at_least_depth():
     links = [tuple(s) for s in cert.payload_dict()["chain"]]
     assert links == [(4,), (4, 5), (4, 5, 6), (4, 5, 6, 7)]
     assert verify_certificate(cert)[0]
+
+
+def test_chain_look_ahead_call_count(monkeypatch):
+    # a search that retries every sibling made 9,255 and 192,041
+    # predicate calls after the probe on these two
+    calls = []
+    resolve, probe = search.hereditary_predicate, search._probe_hereditary
+
+    def counting(desc):
+        hered = resolve(desc)
+
+        def pred(s):
+            calls.append(s)
+            return hered(s)
+        return pred
+
+    def probe_then_reset(hered, window):
+        probe(hered, window)
+        calls.clear()
+
+    monkeypatch.setattr(search, "hereditary_predicate", counting)
+    monkeypatch.setattr(search, "_probe_hereditary", probe_then_reset)
+    for window, depth in ((Window(1, 20), 8), (Window(1, 24), 9)):
+        assert detect_chain("down:exL", window, depth) is not None
+        assert len(calls) <= len(window.ground) * depth
+
+
+def backtracking_chain(desc, window, depth):
+    """detect_chain's witness by the search that admits e when
+    partial + (e,) is in the family and backtracks out of every subtree
+    that cannot reach the depth."""
+    hered = hereditary_predicate(desc)
+    needed = depth - 1 if hered(()) else depth
+    hit = _lex_first(window.ground, needed,
+                     lambda partial, e, state: (hered(partial + (e,)), state))
+    return None if hit is None else hit[0]
+
+
+# hereditary and spreading: the look-ahead must find the lex-first chain
+CHAIN_FORMS = ["all", "down:A:3", "down:A:w+2", "down:A:w*2+1", "down:A:w^2",
+               "down:B:1", "down:B:2", "down:exL", "down:exR", "down:F:1",
+               "down:F:2", "down:F:3", "member:A:1", "member:F:1",
+               "member:F:2"]
+
+
+@pytest.mark.parametrize("desc", CHAIN_FORMS)
+@settings(max_examples=40, deadline=None)
+@given(dropped=st.sets(st.integers(1, 20), max_size=10),
+       depth=st.integers(1, 9))
+def test_chain_look_ahead_matches_backtracking(desc, dropped, depth):
+    window = Window(1, 20, tuple(x for x in range(1, 21) if x not in dropped))
+    cert = detect_chain(desc, window, depth)
+    assert (None if cert is None else cert.witness) == backtracking_chain(
+        desc, window, depth)
 
 
 # -- transfers --------------------------------------------------------
