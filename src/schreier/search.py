@@ -10,9 +10,8 @@ are reproducible without any seed plumbing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import List, Optional, Sequence, Tuple
 
 from .certificates import Certificate, hereditary_predicate, make_certificate
 from .colorings import Coloring
@@ -24,14 +23,7 @@ from .families import (
     iter_union_schreier,
     parse_family,
 )
-from .finsets import (
-    EMPTY,
-    FinSet,
-    Window,
-    check_hereditary,
-    spread,
-    subsets_of,
-)
+from .finsets import EMPTY, FinSet, Window, spread, subsets_of
 from .ordinals import (
     ONE,
     ZERO,
@@ -46,11 +38,23 @@ from .ordinals import (
 )
 
 
-def _probe_hereditary(hered, window: Window) -> None:
-    """Check hered on the nonempty subsets of the first 12 window elements;
-    whether the empty set belongs is the predicate's own call."""
-    check_hereditary(hered, subsets_of(window.ground[:12],
-                                       include_empty=False))
+def _probe_hereditary(desc: str) -> None:
+    """Raise ValueError unless the predicate desc names is hereditary.
+
+    Decided on the description, whatever the window.  ``all`` and the
+    ``down:`` forms are subset-closed by construction.  A ``member:`` form
+    is hereditary when its family is a union level, whose nonempty initial
+    segments of members are members, or a system family of index at most
+    1.  Every other family that parses is thin with a member of two or
+    more elements, so that member's nonempty proper prefix is not one.
+    """
+    if not desc.startswith("member:"):
+        return
+    spec = parse_family(desc[len("member:"):])
+    xi = spec.system_ordinal()
+    if spec.kind != "F" and (xi is None or compare(xi, ONE) > 0):
+        raise ValueError(f"{desc} is not hereditary: {spec.literal()} is thin "
+                         "and has a member of two or more elements")
 
 
 def _lex_first(ground: Sequence[int], target: int, admit, state=None):
@@ -159,122 +163,6 @@ def _record_palette(payload, coloring: Coloring) -> None:
         payload["colors"] = coloring.colors
 
 
-@dataclass(frozen=True)
-class StreamBudget:
-    """Caps for the stream recursion.
-
-    depth bounds section descent, horizon bounds how much of the ground
-    sequence is examined per level, emit caps the returned prefix.
-    """
-
-    depth: int = 8
-    horizon: int = 24
-    emit: int = 8
-
-
-@dataclass(frozen=True)
-class StreamOutcome:
-    prefix: FinSet
-    color: int
-    status: str  # ok | budget_exhausted | failed
-    labels: Tuple[Tuple[int, int], ...]
-    certificate: Optional[Certificate]
-
-
-def majority_strategy(labels: Sequence[Tuple[int, int]]) -> int:
-    """Pick the most frequent branch color; ties go to the smaller index."""
-    if not labels:
-        return 1
-    counts = {}
-    for _, c in labels:
-        counts[c] = counts.get(c, 0) + 1
-    best = max(counts.values())
-    return min(c for c, k in counts.items() if k == best)
-
-
-def homogenize_stream(spec: FamilySpec, coloring: Coloring,
-                      ground: Iterable[int],
-                      strategy: Optional[Callable] = None,
-                      budget: Optional[StreamBudget] = None) -> StreamOutcome:
-    """Proof-shaped recursion: peel the head, homogenize its section family
-    over the tail with the head adjoined to every query, then keep the
-    heads whose branch color the strategy judges to recur.
-
-    The strategy stands in for the non-constructive choice of an
-    infinitely recurring color; the default samples to the horizon and
-    takes the majority.  The emitted prefix is re-checked exhaustively,
-    so a bad strategy shows up as status ``failed``, and running out of
-    descent depth as ``budget_exhausted``.
-    """
-    budget = budget if budget is not None else StreamBudget()
-    strategy = strategy or majority_strategy
-    xi = spec.system_ordinal()
-    if xi is None:
-        raise ValueError("stream recursion needs a section-indexed family")
-    seq = list(islice(iter(ground), budget.horizon))
-    for a, b in zip(seq, seq[1:]):
-        if b <= a:
-            raise ValueError("ground sequence must be strictly increasing")
-    exhausted = False
-
-    def walk(level, col, work, depth_left):
-        nonlocal exhausted
-        if level == ZERO:
-            # the one member is the empty set; nothing to thin
-            return col(EMPTY), list(work)
-        labels = []
-        work = list(work)
-        for _ in range(budget.horizon):
-            if not work:
-                break
-            if depth_left <= 0:
-                exhausted = True
-                break
-            m, tail = work[0], work[1:]
-            sub_col, sub_work = walk(
-                descend(level, m),
-                lambda s, m=m: col((m,) + s),
-                tail,
-                depth_left - 1,
-            )
-            labels.append((m, sub_col))
-            work = sub_work
-        i_star = strategy(labels)
-        thinned = [m for m, c in labels if c == i_star]
-        return i_star, thinned
-
-    color, thinned = walk(xi, lambda s: coloring(s), seq, budget.depth)
-    prefix = tuple(thinned[:budget.emit])
-
-    mono = all(not spec.member(s) or coloring(s) == color
-               for s in subsets_of(prefix))
-    if not mono:
-        status = "failed"
-    elif exhausted:
-        status = "budget_exhausted"
-    else:
-        status = "ok"
-
-    cert = None
-    if mono:
-        if seq:
-            cw = Window(min(seq), max(seq), tuple(seq))
-        else:
-            cw = Window(1, 1)
-        payload = {
-            "coloring": coloring.name,
-            "color": color,
-            "target": len(prefix),
-            "order": "stream",
-            "status": status,
-        }
-        _record_palette(payload, coloring)
-        cert = make_certificate("Homogeneous", spec.literal(), cw, prefix,
-                                payload)
-    labels_flat = tuple((m, c) for m, c in zip(prefix, [color] * len(prefix)))
-    return StreamOutcome(prefix, color, status, labels_flat, cert)
-
-
 # -- Sperner refinement -----------------------------------------------
 
 
@@ -323,10 +211,17 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     proper initial segment of a family member.  Both certificates are
     returned when both branches hold at the first realized witness; an
     empty list means the candidate budget ran out.
+
+    The predicate must be hereditary, and this is decided on hered_desc,
+    whatever the window: ``all``, every ``down:`` form and the ``member:``
+    forms of ``F:<level>``, ``A:0``, ``A:1`` and ``B:0`` are accepted.
+    Every other ``member:`` form names a thin family with a member of two
+    or more elements and raises ValueError.  A spec without a
+    subset-closure form raises ValueError before that decision.
     """
     hered = hereditary_predicate(hered_desc)
     down = _down_test(spec)  # raises before the probe without a closed form
-    _probe_hereditary(hered, window)
+    _probe_hereditary(hered_desc)
     ground = window.ground
     if not 1 <= target <= len(ground):
         raise ValueError("target outside the window")
@@ -412,21 +307,26 @@ def detect_chain(hered_desc: str, window: Window,
     contained, so single-element growth steps lose no generality: a chain
     of any step sizes yields one through the prefixes of its last link.
 
+    Heredity is decided on hered_desc, whatever the window: ``all``,
+    every ``down:`` form and the ``member:`` forms of ``F:<level>``,
+    ``A:0``, ``A:1`` and ``B:0`` are accepted.  Every other ``member:``
+    form names a thin family with a member of two or more elements, whose
+    nonempty proper prefixes are not members, and raises ValueError.
+
     A candidate e is admitted when partial + (e,), padded to the chain's
     length with the largest ground elements, is in the family.  The chain
-    is sound for any predicate: at the last link the padding is empty, so
-    the link is tested itself, and heredity covers its prefixes.  It is
-    the lex-first chain when the predicate also spreads, staying true when
-    an element moves up; then no candidate is retried.  The ``down:``
-    forms of ``A:k``, ``A:w+k``, ``A:w*p+k``, ``A:w^2``, ``B:1``, ``B:2``,
-    ``exL``, ``exR`` and ``F:<level>`` spread, as do ``all`` and the
-    ``member:`` forms that pass the heredity probe (``member:A:1``,
-    ``member:F:<level>``).
+    is sound: at the last link the padding is empty, so the link is
+    tested itself, and heredity covers its prefixes.  It is the lex-first
+    chain when the predicate also spreads, staying true when an element
+    moves up; then no candidate is retried.  The ``down:`` forms of
+    ``A:k``, ``A:w+k``, ``A:w*p+k``, ``A:w^2``, ``B:1``, ``B:2``, ``exL``,
+    ``exR`` and ``F:<level>`` spread, as do ``all``, ``member:A:1`` and
+    ``member:F:<level>``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     hered = hereditary_predicate(hered_desc)
-    _probe_hereditary(hered, window)
+    _probe_hereditary(hered_desc)
     root_empty = hered(EMPTY)
     needed = depth - 1 if root_empty else depth
     ground = window.ground

@@ -276,6 +276,13 @@ def test_chain_too_deep(capsys):
     assert "no chain" in out
 
 
+def test_chain_thin_member_form_is_usage_error(capsys):
+    rc, _, err = run(capsys, "chain", "--hereditary", "member:A:w",
+                     "--window", "20..60", "--depth", "20")
+    assert rc == 2
+    assert "not hereditary" in err
+
+
 # -- transfer ---------------------------------------------------------
 
 

@@ -9,25 +9,22 @@ from hypothesis import given, settings, strategies as st
 from schreier import search
 from schreier.certificates import (hereditary_predicate, make_certificate,
                                   verify_certificate)
-from schreier.colorings import Coloring, get_coloring, hash_coloring
+from schreier.colorings import get_coloring, hash_coloring
 from schreier.families import (FamilySpec, parse_family, residual_after,
                                union_schreier_member,
                                uniform_member, uniform_star)
-from schreier.finsets import Window, subsets_of
+from schreier.finsets import Window, check_hereditary, subsets_of
 from schreier.ordinals import (ZERO, compare, descend, from_int,
                                omega_power, parse_ordinal)
 from schreier.rank import index_compare
 from schreier.search import (
-    StreamBudget,
     _homogenize_admit,
     _lex_first,
     _separation_admit,
     detect_chain,
     hereditary_dichotomy,
     homogenize,
-    homogenize_stream,
     large_index_transfer,
-    majority_strategy,
     rank_separation,
     recheck_transfer,
     schreier_transfer,
@@ -77,92 +74,6 @@ def test_homogenize_deterministic():
     a = homogenize(parse_family("A:2"), hash_coloring(9), Window(1, 18), 4)
     b = homogenize(parse_family("A:2"), hash_coloring(9), Window(1, 18), 4)
     assert a == b and a.transcript_hash == b.transcript_hash
-
-
-# -- homogenize_stream ------------------------------------------------
-
-
-def test_stream_singleton_base_case():
-    c = hash_coloring(1)
-    out = homogenize_stream(parse_family("A:1"), c, range(1, 10),
-                            budget=StreamBudget(depth=1, horizon=9, emit=9))
-    assert out.status == "ok"
-    assert out.prefix
-    assert {c((x,)) for x in out.prefix} == {out.color}
-    assert verify_certificate(out.certificate, coloring=c)[0]
-    # majority sampling picks the bigger singleton class
-    counts = {1: 0, 2: 0}
-    for x in range(1, 10):
-        counts[c((x,))] += 1
-    assert out.color == min(k for k, v in counts.items()
-                            if v == max(counts.values()))
-
-
-def test_stream_pairs_on_evens():
-    out = homogenize_stream(parse_family("A:2"), get_coloring("parity-sum"),
-                            range(2, 40, 2),
-                            budget=StreamBudget(depth=2, horizon=12, emit=6))
-    assert out.status == "ok"
-    assert out.color == 1  # even + even sums are even
-    assert out.prefix == (2, 4, 6, 8, 10, 12)
-    ok, reason = verify_certificate(out.certificate)
-    assert ok, reason
-
-
-def test_stream_budget_zero_trivially_certified():
-    out = homogenize_stream(parse_family("A:2"), get_coloring("parity-sum"),
-                            range(1, 30), budget=StreamBudget(0, 0, 0))
-    assert out.status == "ok"
-    assert out.prefix == ()
-    assert out.certificate is not None
-    assert verify_certificate(out.certificate)[0]
-
-
-def test_stream_depth_exhaustion_reported():
-    out = homogenize_stream(parse_family("A:w"), get_coloring("parity-sum"),
-                            range(5, 30),
-                            budget=StreamBudget(depth=2, horizon=6, emit=2))
-    assert out.status == "budget_exhausted"
-    assert out.certificate is not None  # prefix too short to hold a member
-
-
-def test_stream_contrarian_strategy_self_cancels():
-    # picking the anti-majority color thins every level to nothing: the
-    # empty prefix is still (vacuously) certified
-    def contrarian(labels):
-        return 2 if majority_strategy(labels) == 1 else 1
-
-    out = homogenize_stream(parse_family("A:2"), get_coloring("parity-sum"),
-                            range(2, 40, 2), strategy=contrarian,
-                            budget=StreamBudget(depth=2, horizon=12, emit=6))
-    assert out.status == "ok"
-    assert out.prefix == ()
-    assert verify_certificate(out.certificate)[0]
-
-
-def test_stream_impure_oracle_reported_as_failure():
-    # an oracle that changes its answers between recursion and re-check
-    # breaks the purity contract; the final check must catch it
-    calls = {"n": 0}
-
-    def flaky(s):
-        calls["n"] += 1
-        return 1 if calls["n"] <= 9 else 2
-
-    out = homogenize_stream(parse_family("A:1"),
-                            Coloring(flaky, name="impure"), range(1, 10),
-                            budget=StreamBudget(depth=1, horizon=9, emit=9))
-    assert out.status == "failed"
-    assert out.certificate is None
-
-
-def test_stream_input_validation():
-    with pytest.raises(ValueError):
-        homogenize_stream(parse_family("exL"), get_coloring("parity-sum"),
-                          range(1, 10))
-    with pytest.raises(ValueError):
-        homogenize_stream(parse_family("A:2"), get_coloring("parity-sum"),
-                          [3, 3, 4])
 
 
 # -- sperner_refine ---------------------------------------------------
@@ -380,17 +291,62 @@ def test_dichotomy_validation():
         hereditary_dichotomy("member:A:2", parse_family("exL"), Window(1, 20))
     with pytest.raises(ValueError):
         hereditary_dichotomy("down:F:1", parse_family("ex112"), Window(1, 20))
+    # A:w's least member above 20 has 21 elements, more than a probe of
+    # the window's first 12 sees
+    with pytest.raises(ValueError, match="not hereditary"):
+        hereditary_dichotomy("member:A:w", parse_family("exR"),
+                             Window(20, 40), target=4)
 
 
 def test_dichotomy_without_closed_form_raises_before_the_probe(monkeypatch):
     def probe(*_):
         raise AssertionError("the heredity probe ran")
 
-    monkeypatch.setattr(search, "check_hereditary", probe)
+    monkeypatch.setattr(search, "_probe_hereditary", probe)
     for family in ("A:w^3", "ex112"):
         with pytest.raises(ValueError, match="no subset-closure form"):
             hereditary_dichotomy("down:F:1", parse_family(family),
                                  Window(1, 20))
+
+
+# -- the heredity decision --------------------------------------------
+
+
+HEREDITY_FAMILIES = ["A:0", "A:1", "A:2", "A:3", "A:w", "A:w+1", "A:w*2",
+                     "A:w^2", "A:w^w", "B:0", "B:1", "B:2", "exL", "exR",
+                     "ex112", "F:0", "F:1", "F:2", "F:3"]
+
+
+def resolvable(desc):
+    try:
+        hereditary_predicate(desc)
+    except ValueError:
+        return False
+    return True
+
+
+HEREDITY_FORMS = [desc for desc in ["all"] + [
+    f"{form}:{family}" for form in ("down", "member")
+    for family in HEREDITY_FAMILIES] if resolvable(desc)]
+
+
+@pytest.mark.parametrize("desc", HEREDITY_FORMS)
+def test_heredity_decision_matches_the_window_probe(desc):
+    # the oracle: the removal check on the nonempty subsets of 12-element
+    # windows, each of which sees only the members that fit in it
+    hered = hereditary_predicate(desc)
+    fails = 0
+    for lo in (1, 2, 3, 5):
+        ground = tuple(range(lo, lo + 12))
+        try:
+            check_hereditary(hered, subsets_of(ground, include_empty=False))
+        except ValueError:
+            fails += 1
+    if fails:
+        with pytest.raises(ValueError, match="not hereditary"):
+            search._probe_hereditary(desc)
+    else:
+        search._probe_hereditary(desc)
 
 
 # -- rank_separation --------------------------------------------------
@@ -448,10 +404,10 @@ def test_chain_needs_min_at_least_depth():
 
 
 def test_chain_look_ahead_call_count(monkeypatch):
-    # a search that retries every sibling made 9,255 and 192,041
-    # predicate calls after the probe on these two
+    # every predicate call, the empty set's test included; a search that
+    # retries every sibling made 9,255 and 192,041 past that test
     calls = []
-    resolve, probe = search.hereditary_predicate, search._probe_hereditary
+    resolve = search.hereditary_predicate
 
     def counting(desc):
         hered = resolve(desc)
@@ -461,15 +417,19 @@ def test_chain_look_ahead_call_count(monkeypatch):
             return hered(s)
         return pred
 
-    def probe_then_reset(hered, window):
-        probe(hered, window)
-        calls.clear()
-
     monkeypatch.setattr(search, "hereditary_predicate", counting)
-    monkeypatch.setattr(search, "_probe_hereditary", probe_then_reset)
-    for window, depth in ((Window(1, 20), 8), (Window(1, 24), 9)):
+    for window, depth, count in ((Window(1, 20), 8, 10),
+                                 (Window(1, 24), 9, 12)):
+        calls.clear()
         assert detect_chain("down:exL", window, depth) is not None
-        assert len(calls) <= len(window.ground) * depth
+        assert len(calls) == count <= len(window.ground) * depth
+
+
+def test_chain_rejects_a_thin_member_form_above_small_windows():
+    # a probe of the window's first 12 elements let this through, with a
+    # chain whose first link (20,) is not a member of A:w
+    with pytest.raises(ValueError, match="not hereditary"):
+        detect_chain("member:A:w", Window(20, 60), 20)
 
 
 def backtracking_chain(desc, window, depth):
