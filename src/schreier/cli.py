@@ -22,7 +22,6 @@ from .colorings import ColoringProtocolError, get_coloring, registry_names
 from .families import enumerate_family, parse_family, section
 from .finsets import Window, format_finset, parse_finset, parse_window
 from .ordinals import (
-    FUNDAMENTAL_SCHEMES,
     classify,
     compare,
     format_ordinal,
@@ -165,7 +164,7 @@ def _run_fundseq(args) -> Result:
     out = {
         "ordinal": format_ordinal(x),
         "at": args.at,
-        "scheme": args.scheme,
+        "scheme": "wainer",  # the only assignment implemented
         "value": text,
     }
     return OK, out, [text]
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("fundseq", _run_fundseq, "fundamental sequence value")
     p.add_argument("--ordinal", required=True)
     p.add_argument("--at", required=True, type=int, metavar="N")
-    p.add_argument("--scheme", default="wainer", choices=FUNDAMENTAL_SCHEMES)
 
     p = verb("ord", _run_ord, "normalise or compare ordinal expressions")
     p.add_argument("--ordinal", required=True)

@@ -477,23 +477,37 @@ def _lex_walk(ground: Sequence[int], root, step, closed) -> Iterator[FinSet]:
 def _member_counts(xi: Ordinal, ground: Sequence[int], j: int = 0):
     """Per-state count rows of the system family at xi over the ground list.
 
-    Returns (rows, lo).  Each nonzero state r reached from (xi, j) has a
-    row, a list indexed by position: rows[r][i] is the number of members of
-    the state-r family over ground[i:], in Python ints, for i from r's least
-    covered start lo[r] up to len(ground); entries below lo[r] are None.
-    The zero state has no row; its one member, the empty set, counts 1.
+    Returns (rows, lo).  rows[r][i] is the number of members of the state-r
+    family over ground[i:], in Python ints, for i from lo[r] up to
+    len(ground).  A row is filled only below its state's first dead
+    position, from which no member can finish: a natural k needs k more
+    elements, and a residual of at least w whose next element is y >= 2
+    needs y of them, y included, since it reaches w at some z >= y and w
+    then needs z - 1 more.  Cells from the dead position on are 0 from the
+    start, other cells below lo[r] are None, and a state reached only in
+    dead cells has no row.  So a reader takes a child's count from its
+    parent's row, rows[r][i] - rows[r][i + 1], before it looks the child
+    up.  The zero state has no row; its one member, the empty set, counts 1.
     """
     n = len(ground)
+    # grounds increase, so the dead cells of a residual >= w are a suffix;
+    # below a natural root every residual is natural
+    dead = n if xi.is_natural else next(
+        (i for i, x in enumerate(ground) if x >= 2 and x > n - i), n)
     rows = {}
     lo = {}
 
     def fill(r: Ordinal, i: int) -> int:
-        # a row is covered from lo[r] to n; extend it down to i in a loop,
-        # so the recursion follows descents only
+        # a row is known from lo[r] to n; extend it down to i in a loop, so
+        # the recursion follows descents only.  A parent fills only live
+        # cells, which start each child at or below the child's dead
+        # position, so an extension never recounts a dead cell; only the
+        # root may start above its own.
         row = rows.get(r)
         if row is None:
-            row = rows[r] = [None] * n + [0]  # position n: nothing left
-            m = n
+            e, k = r.terms[0]  # r > 0 is the natural k iff its exponent is 0
+            m = max(n - k + 1, 0) if e is ZERO else dead
+            row = rows[r] = [None] * m + [0] * (n + 1 - m)
         else:
             got = row[i]
             if got is not None:
@@ -511,8 +525,11 @@ def _member_counts(xi: Ordinal, ground: Sequence[int], j: int = 0):
         lo[r] = i
         return got
 
-    if xi is not ZERO:
-        fill(xi, j)
+    try:
+        if xi is not ZERO:
+            fill(xi, j)
+    finally:
+        del fill  # it refers to itself: drop the cycle now
     return rows, lo
 
 
@@ -520,19 +537,25 @@ def _system_walk(xi: Ordinal, ground: Sequence[int]) -> Iterator[FinSet]:
     """The nonempty initial segments of the members of the system family
     at xi inside the ground list, in lex order.
 
-    A node's state is its residual, so each node costs one descend, and a
-    child is entered only when its state's count row gives it members
-    (the zero state counts 1, the empty set).
+    A node's state is its residual and that residual's count row.  A child
+    is entered only when the row gives it members, row[k] - row[k + 1];
+    then it costs one descend.  States reached only in dead cells have no
+    row.
     """
+    if xi is ZERO:
+        return iter(())
     rows, _ = _member_counts(xi, ground)
 
-    def step(r, x, k):
-        d = descend(r, x)
-        if d is ZERO or rows[d][k + 1]:
-            return d
-        return None if rows[r][k + 1] else _END
+    def step(state, x, k):
+        r, row = state
+        if row[k] == row[k + 1]:
+            return None if row[k + 1] else _END
+        d = r._next.get(x)
+        if d is None:
+            d = descend(r, x)
+        return d if d is ZERO else (d, rows[d])
 
-    return _lex_walk(ground, xi, step, ZERO)
+    return _lex_walk(ground, (xi, rows[xi]), step, ZERO)
 
 
 def _system_members(xi: Ordinal, ground: Sequence[int]) -> List[FinSet]:

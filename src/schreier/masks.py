@@ -17,6 +17,9 @@ child's array with one more bit, is or-ed straight into its slice.
 
 Only pairs the root actually demands get array coverage: a finite residual
 k, covered from every start, would otherwise cost all C(hi, k) subsets.
+The rows stop where no member can finish, so a state reached only there
+has no row: a chunk's size is read from its parent's row, and the child is
+descended to only when that size is nonzero.
 """
 
 from __future__ import annotations
@@ -78,7 +81,9 @@ class MaskFamily:
     # -- mask arrays ----------------------------------------------------
 
     def _assemble(self, rows, lo) -> np.ndarray:
-        # position k of the ground list range(1, hi + 1) holds element k + 1
+        # position k of the ground list range(1, hi + 1) holds element k + 1,
+        # and its chunk holds row[k] - row[k + 1] masks: only a nonzero chunk
+        # looks up its child, which has no row when met only in dead cells
         arrays: Dict[Ordinal, np.ndarray] = {}
 
         def build(r: Ordinal) -> np.ndarray:
@@ -87,6 +92,9 @@ class MaskFamily:
             off = 0
             memo = r._next
             for k in range(self.hi - 1, lo[r] - 1, -1):
+                c = row[k] - row[k + 1]
+                if not c:
+                    continue
                 e = k + 1
                 bit = np.uint64(1 << e)
                 d = memo.get(e)
@@ -96,13 +104,11 @@ class MaskFamily:
                     out[off] = bit
                     off += 1
                     continue
-                c = rows[d][k + 1]
-                if c:
-                    sub = arrays.get(d)
-                    if sub is None:
-                        sub = build(d)
-                    np.bitwise_or(sub[:c], bit, out=out[off:off + c])
-                    off += c
+                sub = arrays.get(d)
+                if sub is None:
+                    sub = build(d)
+                np.bitwise_or(sub[:c], bit, out=out[off:off + c])
+                off += c
             return out
 
         root = build(self.xi)

@@ -8,8 +8,8 @@ used to index sections of uniform families.
 
 The assignment of a fundamental sequence to a limit ordinal is not canonical;
 for exponent positions this module uses the Wainer-style assignment (see
-:func:`wainer_fundamental`).  It is the only scheme implemented, but it is
-named so the choice is visible at the interfaces that depend on it.
+:func:`wainer_fundamental`).  It is the only scheme implemented; the CLI's
+``fundseq --json`` names it in its ``"scheme"`` key.
 
 Ordinals are hash-consed: equal ordinals are one object, so equality is
 identity, and :func:`descend` memoizes each step on the node it leaves, a
@@ -43,7 +43,6 @@ __all__ = [
     "parse_ordinal",
     "format_ordinal",
     "OrdinalParseError",
-    "FUNDAMENTAL_SCHEMES",
 ]
 
 
@@ -355,9 +354,6 @@ def _walk(r: Ordinal, elements) -> Ordinal:
         if r is ZERO:
             break
     return r
-
-
-FUNDAMENTAL_SCHEMES = ("wainer",)
 
 
 # -- text form --------------------------------------------------------

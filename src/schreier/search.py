@@ -445,8 +445,11 @@ def _transfer_containments(level: int, window: Window):
     rows, _ = _member_counts(sys_ord, ground)
 
     def witnessed(r, x, m):
+        row = rows[r]
+        if row[m] == row[m + 1]:
+            return None
         d = descend(r, x)
-        return False if d is ZERO else d if rows[d][m + 1] else None
+        return False if d is ZERO else d
 
     root, step = _union_step(level_ord, ground)
     closure = _product_count(ground, sys_ord, witnessed, root, step, False)

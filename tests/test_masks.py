@@ -6,6 +6,7 @@ size-equals-min family on [1,n] has Fibonacci(n) members; the two-block
 variant is a convolution of boundary-split counts).
 """
 
+import gc
 import hashlib
 import time
 import tracemalloc
@@ -20,7 +21,7 @@ from schreier.families import (FamilySpec, _member_counts, enumerate_family,
                                section, uniform_member)
 from schreier.finsets import Window, mask_of, subsets_of
 from schreier.masks import MaskFamily, masks_to_sets, sort_masks
-from schreier.ordinals import parse_ordinal
+from schreier.ordinals import ZERO, descend, omega_power, parse_ordinal
 
 SAMPLED = ["1", "2", "3", "w", "w+1", "w*2", "w^2", "w^w"]
 
@@ -152,6 +153,78 @@ def test_count_rows_match_brute_counts(xi_text, ground, data):
              if uniform_member(xi, s)]
     for i in range(j, len(ground) + 1):
         assert rows[xi][i] == sum(1 for p in first if p >= i), i
+
+
+def uncut_counts(xi, ground, j=0):
+    """The count rows with no dead-position cut: every state the root
+    reaches, through any cell, gets a row filled from that cell down."""
+    n = len(ground)
+    rows, lo = {}, {}
+
+    def fill(r, i):
+        row = rows.get(r)
+        if row is None:
+            row = rows[r] = [None] * n + [0]
+            m = n
+        else:
+            if row[i] is not None:
+                return row[i]
+            m = lo[r]
+        got = row[m]
+        for m in range(m - 1, i - 1, -1):
+            d = descend(r, ground[m])
+            got += 1 if d is ZERO else fill(d, m + 1)
+            row[m] = got
+        lo[r] = i
+        return got
+
+    if xi is not ZERO:
+        fill(xi, j)
+    return rows, lo
+
+
+@settings(max_examples=80, deadline=None)
+@given(xi_text=st.sampled_from(SAMPLED + ["B:3"]),
+       ground=st.lists(st.integers(1, 40), min_size=1, max_size=20,
+                       unique=True).map(sorted),
+       data=st.data())
+def test_cut_rows_agree_with_uncut_rows(xi_text, ground, data):
+    xi = omega_power(3) if xi_text == "B:3" else parse_ordinal(xi_text)
+    j = data.draw(st.integers(0, len(ground)), label="j")
+    want, _ = uncut_counts(xi, ground, j)
+    rows, lo = _member_counts(xi, ground, j)
+    for r, full in want.items():
+        if any(full):
+            assert r in rows, r
+        for i, c in enumerate(rows.get(r, ())):
+            if c is not None and full[i] is not None:
+                assert c == full[i], (r, i)
+    # below the root, a row starts at or under its dead position
+    assert all(row[i] is None for r, row in rows.items() if r is not xi
+               for i in range(lo[r])), lo
+
+
+def test_dead_cells_get_no_rows():
+    # A:w^2 on [1,21]: 247 rows without the cut, 13 of them nonzero
+    ground = range(1, 22)
+    assert len(uncut_counts(omega_power(2), ground)[0]) == 247
+    rows, _ = _member_counts(omega_power(2), ground)
+    assert len(rows) <= 65
+
+
+def test_count_rows_free_on_release():
+    # the rows must go when the caller drops them, not at the next
+    # cyclic collection
+    ground = range(1, 22)
+    _member_counts(omega_power(2), ground)
+    gc.collect()
+    gc.disable()
+    try:
+        rows, lo = _member_counts(omega_power(2), ground)
+        del rows, lo
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- frozen wide-window counts ---------------------------------------
