@@ -128,7 +128,8 @@ def from_json(data) -> Certificate:
 def hereditary_predicate(desc: str) -> Callable[[FinSet], bool]:
     """Resolve a recorded set-family predicate description.
 
-    Forms: ``all`` (every finite set), ``down:<family>`` (subset closure),
+    Forms: ``all`` (every finite set), ``down:<family>`` (subset closure,
+    the family's star test; ex112 has none and raises ValueError),
     ``member:<family>`` (plain membership; used when the left side of a
     containment is itself a family rather than a closure).
     """

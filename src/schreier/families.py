@@ -28,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
-from .finsets import (EMPTY, FinSet, Window, mask_of, set_of_mask,
-                      shortlex_key, subsets_of)
+from .finsets import (EMPTY, FinSet, Window, mask_of, shortlex_key,
+                      subsets_of)
 from .ordinals import (
-    ONE,
     OMEGA,
     ZERO,
     Ordinal,
@@ -55,7 +54,6 @@ __all__ = [
     "enumerate_family",
     "section",
     "star_closure",
-    "down_closure",
     "check_thin",
     "check_sperner",
     "enumerate_union_schreier",
@@ -210,10 +208,11 @@ class FamilySpec:
         return self._star(s)
 
     def down(self, s: FinSet) -> bool:
-        """Subset-closure test over the infinite ground line (closed forms).
+        """Subset-closure test over the infinite ground line.
 
-        Available for the kinds with a worked-out characterization; raises
-        for the rest rather than guessing, whatever s is.
+        The star test for the kinds whose star is subset-closed: A, B,
+        exL, exR and F.  Raises ValueError for ex112 and custom kinds,
+        whatever s is.
         """
         return _down_test(self)(s)
 
@@ -290,7 +289,7 @@ def parse_family(text: str) -> FamilySpec:
     )
 
 
-# -- subset-closure closed forms --------------------------------------
+# -- subset closure ---------------------------------------------------
 
 
 def _schreier_star_parts(t: FinSet, pos: int = 0) -> int:
@@ -307,29 +306,28 @@ def _schreier_star_parts(t: FinSet, pos: int = 0) -> int:
 
 
 def _down_test(spec: FamilySpec) -> Callable[[FinSet], bool]:
-    """The family's subset-closure test, its closed form picked once.
+    """The family's subset-closure test: its star test, picked once.
 
-    Raises ValueError for a family with no closed form.
+    The initial-segment closures of exL, exR and F are subset-closed by
+    their closed forms.  A system family's (A and B) star sets are the
+    sets the residual walk does not strand (r admits t when the walk from
+    r over t never descends 0), and skipping an element never strands it:
+    if r admits (x,) + t with x < t[0], r admits t.  By induction on r.
+    A successor's step does not read the element.  At a limit lam, lam[x]
+    admits t, hence t[1:] by induction, and lam[t[0]] descends to lam[x]
+    through steps at indices <= t[0]; each step can be put before t[1:]
+    and dropped again by induction, so lam[t[0]] admits t[1:].  Dropping
+    elements one at a time, every subset of an initial segment of a member
+    is one.  ``test_down_closed_form_vs_witness_search`` and
+    ``test_system_star_is_hereditary`` in tests/test_families.py check
+    this against the witness search and on the subsets of [1,16].
+
+    Raises ValueError for ex112, whose star is not subset-closed
+    ((2,...,6) lies below the star set (1,...,6) but is not one), and for
+    custom kinds.
     """
-    if spec.kind in ("exL", "exR", "F"):
-        # their initial-segment closures are subset-closed already
+    if spec.kind in ("A", "B", "exL", "exR", "F"):
         return spec._star
-    xi = spec.system_ordinal()
-    if xi is not None:
-        if xi.is_natural:
-            k = xi.as_int()
-            return lambda t: len(t) <= k
-        terms = xi.terms
-        # w*p + k: k leading elements are free, then at most p parts each
-        # bounded by its own minimum
-        if terms[0][0] == ONE and (len(terms) == 1 or (
-                len(terms) == 2 and terms[1][0].is_zero)):
-            p = terms[0][1]
-            k = terms[1][1] if len(terms) > 1 else 0
-            return lambda t: _schreier_star_parts(t, k) <= p
-        # w^2: at most min-many bounded parts
-        if xi == omega_power(2):
-            return lambda t: not t or _schreier_star_parts(t) <= t[0]
     raise ValueError(f"no subset-closure form for {spec.literal()}")
 
 
@@ -379,21 +377,6 @@ def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
         for k in range(1, len(s) + 1):
             seen.setdefault(s[:k], None)
     return sorted(seen, key=shortlex_key)
-
-
-def down_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
-    """Subsets of members found within the window, shortlex (same caveat)."""
-    seen = set()
-    for s in enumerate_family(spec, window):
-        m = mask_of(s)
-        # walk all submasks
-        sub = m
-        while True:
-            seen.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & m
-    return sorted((set_of_mask(x) for x in seen), key=shortlex_key)
 
 
 def check_thin(spec: FamilySpec, window: Window):

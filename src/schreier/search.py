@@ -216,11 +216,13 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     whatever the window: ``all``, every ``down:`` form and the ``member:``
     forms of ``F:<level>``, ``A:0``, ``A:1`` and ``B:0`` are accepted.
     Every other ``member:`` form names a thin family with a member of two
-    or more elements and raises ValueError.  A spec without a
-    subset-closure form raises ValueError before that decision.
+    or more elements and raises ValueError.  Branch A reads the family's
+    subset closure, which is its star test for every ``A:``, ``B:``,
+    ``F:``, ``exL`` and ``exR`` spec; ex112 and custom specs have none and
+    raise ValueError before that decision.
     """
     hered = hereditary_predicate(hered_desc)
-    down = _down_test(spec)  # raises before the probe without a closed form
+    down = _down_test(spec)  # ex112 and custom raise before the probe
     _probe_hereditary(hered_desc)
     ground = window.ground
     if not 1 <= target <= len(ground):
@@ -319,8 +321,9 @@ def detect_chain(hered_desc: str, window: Window,
     tested itself, and heredity covers its prefixes.  It is the lex-first
     chain when the predicate also spreads, staying true when an element
     moves up; then no candidate is retried.  The ``down:`` forms of
-    ``A:k``, ``A:w+k``, ``A:w*p+k``, ``A:w^2``, ``B:1``, ``B:2``, ``exL``,
-    ``exR`` and ``F:<level>`` spread, as do ``all``, ``member:A:1`` and
+    ``A:k``, ``A:w+k``, ``A:w*p+k``, ``A:w^2``, ``A:w^2+1``, ``A:w^3``,
+    ``A:w^w``, ``B:1``, ``B:2``, ``B:3``, ``exL``, ``exR`` and
+    ``F:<level>`` spread, as do ``all``, ``member:A:1`` and
     ``member:F:<level>``.
     """
     if depth < 1:

@@ -211,7 +211,7 @@ def rejected_both_ways(cert):
 
 
 @pytest.mark.parametrize("hereditary", [3, None, ["down:exL"], "down:bogus",
-                                        "down:A:w^3"], ids=repr)
+                                        "down:ex112"], ids=repr)
 def test_malformed_hereditary_rejected(hereditary):
     chain = make_certificate(
         "Chain", "down:A:3", Window(1, 10), (1, 2, 3),

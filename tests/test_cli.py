@@ -248,6 +248,15 @@ def test_dichotomy_branch_a_json(capsys):
     assert doc["branches"] == ["A"]
 
 
+def test_dichotomy_past_w_squared(capsys):
+    rc, doc, _ = run_json(capsys, "dichotomy", "--hereditary", "A:w^3",
+                          "--family", "A:w^2", "--window", "1..14",
+                          "--target", "6")
+    assert rc == 0
+    assert doc["branches"] == ["A"]
+    assert doc["certificates"][0]["witness"] == [1, 2, 3, 4, 5, 6]
+
+
 def test_separate(capsys):
     rc, doc, _ = run_json(capsys, "separate", "--lower", "2", "--upper", "w",
                           "--window", "1..30")
@@ -327,6 +336,15 @@ def test_transfer_into_closure_lift(capsys):
                           "--window", "1..20", "--into-closure", "B:1")
     assert rc == 0
     assert doc["certificate"]["payload"]["route"] == "lift"
+
+
+def test_transfer_into_closure_past_w_squared(capsys):
+    rc, doc, _ = run_json(capsys, "transfer", "--xi", "1",
+                          "--window", "1..30", "--into-closure", "A:w^3")
+    assert rc == 0
+    cert = doc["certificate"]
+    assert cert["witness"] == list(range(3, 11))
+    assert cert["payload"]["spread_checked"] == 54
 
 
 def test_transfer_into_everything(capsys):

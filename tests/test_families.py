@@ -13,11 +13,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schreier import finsets
 from schreier.families import (
     FamilySpec,
     check_sperner,
     check_thin,
-    down_closure,
     enumerate_family,
     enumerate_union_schreier,
     iter_union_schreier,
@@ -358,7 +358,7 @@ def test_base_index_families():
         assert f1.member(s) == (bool(s) and len(s) <= s[0])
 
 
-# -- subset-closure closed forms --------------------------------------
+# -- subset closure ---------------------------------------------------
 
 
 def test_min_parts_greedy_vs_brute():
@@ -368,7 +368,9 @@ def test_min_parts_greedy_vs_brute():
 
 
 @pytest.mark.parametrize(
-    "text", ["A:3", "A:w", "A:w+1", "A:w+2", "A:w*2", "A:w*2+1", "A:w^2", "B:1", "B:2"]
+    "text", ["A:3", "A:w", "A:w+1", "A:w+2", "A:w*2", "A:w*2+1", "A:w^2",
+             "A:w^2+1", "A:w^3", "A:w^w", "A:w^(w+1)", "B:1", "B:2", "B:3",
+             "B:w"]
 )
 def test_down_closed_form_vs_witness_search(text):
     spec = parse_family(text)
@@ -390,14 +392,34 @@ def test_union_levels_hereditary(text):
 
 
 def test_down_closed_form_unavailable():
-    # the form is resolved before the set is looked at, so the empty set
-    # raises too
-    for text in ("A:w^w", "A:w^3", "A:w^2+1", "ex112"):
-        for s in ((), (1,), (2,)):
-            with pytest.raises(ValueError, match="no subset-closure form"):
-                parse_family(text).down(s)
+    # ex112's star is not subset-closed: (1,...,6) is a star set and
+    # (2,...,6) is not.  The form is resolved before the set is looked at,
+    # so the empty set raises too
+    ex112 = parse_family("ex112")
+    assert ex112.star((1, 2, 3, 4, 5, 6)) and not ex112.star((2, 3, 4, 5, 6))
+    for s in ((), (1,), (2,)):
         with pytest.raises(ValueError, match="no subset-closure form"):
-            _down_test(parse_family(text))
+            ex112.down(s)
+    with pytest.raises(ValueError, match="no subset-closure form"):
+        _down_test(ex112)
+    # the system indices past w^2 answer with their star test
+    for text in ("A:w^w", "A:w^3", "A:w^2+1"):
+        spec = parse_family(text)
+        assert _down_test(spec) is spec._star
+        for s in ((), (1,), (2,), (1, 2), (2, 3, 4), (5, 6, 7, 8, 9)):
+            assert spec.down(s) == has_member_superset(spec.ordinal, s), s
+
+
+@pytest.mark.parametrize(
+    "text", ["A:1", "A:3", "A:w", "A:w+2", "A:w*2+1", "A:w^2", "A:w^2+1",
+             "A:w^3", "A:w^w", "A:w^(w+1)", "B:1", "B:2", "B:3", "B:w"]
+)
+def test_system_star_is_hereditary(text):
+    # no star set of [1,16] loses an element of the star closure
+    spec = parse_family(text)
+    stars = finsets.check_hereditary(
+        spec.star, finsets.subsets_of(range(1, 17), include_empty=False))
+    assert stars and all(spec.down(s) for s in stars)
 
 
 # -- windowed operations ----------------------------------------------
@@ -408,7 +430,6 @@ def test_enumerate_singleton_family():
     w = Window(1, 5)
     assert enumerate_family(one, w) == [(2, 3)]
     assert star_closure(one, w) == [EMPTY, (2,), (2, 3)]
-    assert down_closure(one, w) == [EMPTY, (2,), (3,), (2, 3)]
 
 
 def test_closure_outputs_are_closed():
@@ -419,12 +440,6 @@ def test_closure_outputs_are_closed():
     for s in stars:
         for k in range(len(s)):
             assert s[:k] in star_set
-    downs = down_closure(spec, w)
-    down_set = set(downs)
-    for s in downs:
-        for k in range(len(s)):
-            for t in combinations(s, k):
-                assert t in down_set
 
 
 # -- the count-pruned walk against the subset filter -----------------

@@ -1,8 +1,9 @@
 """FamilySpec picks its member, star and subset-closure tests once.
 
 The per-kind forms the specs once re-dispatched on every call stay here as
-the oracle: the member and star chains, the subset-closure forms and the
-union levels' closed forms.
+the oracle: the member and star chains, the subset-closure forms (with the
+witness search of tests/test_families.py for the system indices past them)
+and the union levels' closed forms.
 """
 
 import copy
@@ -24,6 +25,7 @@ from schreier.families import (
 from schreier.finsets import Window
 from schreier.ordinals import OMEGA, ONE, as_ordinal, omega_power
 from schreier.search import hereditary_dichotomy
+from test_families import has_member_superset
 
 # -- the per-call dispatch, as it was ---------------------------------
 
@@ -97,6 +99,8 @@ def oracle_down(spec, t):
             return _schreier_star_parts(t, k) <= terms[0][1]
         if xi == omega_power(2):
             return not t or _schreier_star_parts(t) <= t[0]
+        # past the closed forms, the definitional witness search
+        return has_member_superset(xi, t)
     raise ValueError(f"no subset-closure form for {spec.literal()}")
 
 

@@ -303,10 +303,18 @@ def test_dichotomy_without_closed_form_raises_before_the_probe(monkeypatch):
         raise AssertionError("the heredity probe ran")
 
     monkeypatch.setattr(search, "_probe_hereditary", probe)
-    for family in ("A:w^3", "ex112"):
-        with pytest.raises(ValueError, match="no subset-closure form"):
-            hereditary_dichotomy("down:F:1", parse_family(family),
-                                 Window(1, 20))
+    with pytest.raises(ValueError, match="no subset-closure form"):
+        hereditary_dichotomy("down:F:1", parse_family("ex112"), Window(1, 20))
+
+
+def test_dichotomy_past_w_squared():
+    # A:w^3's subset closure is its star test; branch A holds at the
+    # first candidate
+    certs = hereditary_dichotomy("down:A:w^2", parse_family("A:w^3"),
+                                 Window(1, 14), target=6)
+    assert branches_of(certs) == ["A"]
+    assert certs[0].witness == (1, 2, 3, 4, 5, 6)
+    assert verify_certificate(certs[0]) == (True, "ok")
 
 
 # -- the heredity decision --------------------------------------------
@@ -445,7 +453,8 @@ def backtracking_chain(desc, window, depth):
 
 # hereditary and spreading: the look-ahead must find the lex-first chain
 CHAIN_FORMS = ["all", "down:A:3", "down:A:w+2", "down:A:w*2+1", "down:A:w^2",
-               "down:B:1", "down:B:2", "down:exL", "down:exR", "down:F:1",
+               "down:A:w^2+1", "down:A:w^3", "down:A:w^w", "down:B:1",
+               "down:B:2", "down:B:3", "down:exL", "down:exR", "down:F:1",
                "down:F:2", "down:F:3", "member:A:1", "member:F:1",
                "member:F:2"]
 
