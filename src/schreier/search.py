@@ -10,7 +10,7 @@ are reproducible without any seed plumbing.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 from typing import List, Optional, Sequence, Tuple
 
 from .certificates import Certificate, hereditary_predicate, make_certificate
@@ -202,15 +202,16 @@ def sperner_refine(spec: FamilySpec, window: Window,
 
 
 def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
-                         target: int = 8,
-                         max_candidates: int = 5000) -> List[Certificate]:
+                         target: int = 8) -> List[Certificate]:
     """Search for L realizing one of the two containment branches.
 
     Branch A: every subset-closure set of the family within L lies in the
     hereditary predicate.  Branch B: every predicate set within L is a
     proper initial segment of a family member.  Both certificates are
-    returned when both branches hold at the first realized witness; an
-    empty list means the candidate budget ran out.
+    returned when both branches hold at the lex-first witness; an empty
+    list means the window or the admit budget, _MAX_ADMITS, ran out.  Each
+    branch holds on every subset of an L where it holds, so an element is
+    admitted while either branch survives.
 
     The predicate must be hereditary, and this is decided on hered_desc,
     whatever the window: ``all``, every ``down:`` form and the ``member:``
@@ -224,33 +225,49 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     hered = hereditary_predicate(hered_desc)
     down = _down_test(spec)  # ex112 and custom raise before the probe
     _probe_hereditary(hered_desc)
-    ground = window.ground
-    if not 1 <= target <= len(ground):
+    if not 1 <= target <= len(window.ground):
         raise ValueError("target outside the window")
-    for count, L in enumerate(combinations(ground, target)):
-        if count >= max_candidates:
-            break
-        okA = okB = True
-        for t in subsets_of(L):
-            if okA and down(t) and not hered(t):
-                okA = False
-            if okB and hered(t) and not (spec.star(t) and not spec.member(t)):
-                okB = False
-            if not (okA or okB):
-                break
-        certs = []
-        base = {"hereditary": hered_desc, "target": target}
-        if okA:
-            certs.append(make_certificate(
-                "DichotomyBranchA", spec.literal(), window, L,
-                dict(base, branch="A")))
-        if okB:
-            certs.append(make_certificate(
-                "DichotomyBranchB", spec.literal(), window, L,
-                dict(base, branch="B")))
-        if certs:
-            return certs
-    return []
+    step_a, root_a = _kept(down, hered)
+    step_b, root_b = _kept(hered,
+                           lambda t: spec.star(t) and not spec.member(t))
+
+    def admit(partial, e, state):
+        a, b = step_a(state[0], e), step_b(state[1], e)
+        return a is not None or b is not None, (a, b)
+
+    hit = _lex_first(window.ground, target, _budgeted(admit), (root_a, root_b))
+    if hit is None:
+        return []
+    L, branches = hit
+    base = {"hereditary": hered_desc, "target": target}
+    return [make_certificate(f"DichotomyBranch{b}", spec.literal(), window, L,
+                             dict(base, branch=b))
+            for b, frontier in zip("AB", branches) if frontier is not None]
+
+
+_MAX_ADMITS = 50_000  # per dichotomy or large-index transfer search
+
+
+def _budgeted(admit):
+    """admit, refusing every element once _MAX_ADMITS calls are spent."""
+    calls = count(1)
+    return lambda p, e, state: (admit(p, e, state) if next(calls) <= _MAX_ADMITS
+                                else (False, state))
+
+
+def _kept(keep, ok):
+    """Step and root state for "every subset of the partial set that keep
+    accepts passes ok", keep subset-closed on nonempty sets.  A state is
+    the empty set plus those subsets, or None once a check failed, so
+    appending e tests only s + (e,) for each s in it.
+    """
+    def step(frontier, e):
+        if frontier is None:
+            return None
+        grown = [t for t in (s + (e,) for s in frontier) if keep(t)]
+        return frontier + grown if all(map(ok, grown)) else None
+
+    return step, None if keep(EMPTY) and not ok(EMPTY) else [EMPTY]
 
 
 def rank_separation(xi1, xi2, window: Window,
@@ -517,8 +534,8 @@ def _spread_into(level: int, L: FinSet, H) -> Tuple[int, Optional[FinSet]]:
 
 
 def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
-                         window: Window, target: int = 8,
-                         max_candidates: int = 2000) -> Optional[Certificate]:
+                         window: Window,
+                         target: int = 8) -> Optional[Certificate]:
     """Route a large symbolic index into a spread containment.
 
     Strictly above the boundary value the target predicate is used as
@@ -527,45 +544,43 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     two further elements are dropped to absorb it.  Below the boundary
     the premise fails and the call is rejected.  The emitted certificate
     only ever claims the final containment, which is re-checked directly
-    against the original predicate.
+    against the original predicate.  None means the window or the admit
+    budget, _MAX_ADMITS, ran out.
     """
     level = _as_level(xi)
     H = hereditary_predicate(into_desc)
     route = _transfer_route(level, sigma)
-    if route == "direct":
-        pred = H
-        extra_drop = 0
-    else:
-        def pred(t):
-            return (not t) or H(t[1:])
-        extra_drop = 2
-
-    down = _down_test(parse_family(f"B:{level}"))
-    ground = window.ground
-    size = target + 2 + extra_drop
-    if size > len(ground):
+    lift = route == "lift"
+    pred = (lambda t: not t or H(t[1:])) if lift else H
+    drop = 4 if lift else 2
+    step, root = _kept(_down_test(parse_family(f"B:{level}")), pred)
+    size = target + drop
+    if size > len(window.ground):
         raise ValueError("window too small for the requested target")
 
-    for count, cand in enumerate(combinations(ground, size)):
-        if count >= max_candidates:
-            break
-        if any(down(t) and not pred(t) for t in subsets_of(cand)):
-            continue
-        L = cand[2 + extra_drop:]
-        checked, escaped = _spread_into(level, L, H)
-        if escaped is not None:
-            continue
-        payload = {
-            "variant": "large-index",
-            "into": into_desc,
-            "sigma": "infinity" if sigma is None else format_ordinal(sigma),
-            "xi": str(level),
-            "route": route,
-            "target": target,
-            "spread_checked": checked,
-        }
-        return make_certificate("Transfer", f"B:{level}", window, L, payload)
-    return None
+    def admit(partial, e, frontier):
+        # the subset filter prunes; spreading onto a subset of L is not
+        # monotone, so the spread check waits for the last element
+        frontier = step(frontier, e)
+        L = (partial + (e,))[drop:]
+        return frontier is not None and (
+            len(partial) + 1 < size or _spread_into(level, L, H)[1] is None
+        ), frontier
+
+    hit = _lex_first(window.ground, size, _budgeted(admit), root)
+    if hit is None:
+        return None
+    L = hit[0][drop:]
+    payload = {
+        "variant": "large-index",
+        "into": into_desc,
+        "sigma": "infinity" if sigma is None else format_ordinal(sigma),
+        "xi": str(level),
+        "route": route,
+        "target": target,
+        "spread_checked": _spread_into(level, L, H)[0],
+    }
+    return make_certificate("Transfer", f"B:{level}", window, L, payload)
 
 
 def recheck_transfer(cert: Certificate):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,8 @@ from schreier.certificates import (
 from schreier.colorings import Coloring, get_coloring, hash_coloring
 from schreier.families import FamilySpec, parse_family
 from schreier.finsets import Window
-from schreier.search import homogenize, sperner_refine
+from schreier.search import (detect_chain, homogenize, schreier_transfer,
+                             sperner_refine)
 
 
 def good_homogeneous():
@@ -180,6 +182,41 @@ def test_sperner_verifier():
         {"target": 6, "op": "sperner-refine"})
     ok, reason = verify_certificate(bad)
     assert not ok and "nested" in reason
+
+
+def test_sperner_verifier_empty_witness():
+    empty = make_certificate("SpernerRefined", "A:3", Window(1, 10), (),
+                             {"target": 0, "op": "sperner-refine"})
+    assert verify_certificate(empty) == (True, "ok")
+
+
+# 40 odd numbers below 80: listing their subsets would walk 2^40 sets
+WIDE = tuple(range(1, 80, 2))
+WIDE_CLAIMS = [
+    ("Homogeneous", {"coloring": "parity-sum", "color": 1, "target": 40,
+                     "order": "lex"}),
+    ("DichotomyBranchA", {"hereditary": "all", "target": 40, "branch": "A"}),
+    ("DichotomyBranchB", {"hereditary": "down:A:1", "target": 40,
+                          "branch": "B"}),
+    ("SpernerRefined", {"target": 40, "op": "sperner-refine"}),
+]
+
+
+@pytest.mark.parametrize("kind,payload", WIDE_CLAIMS)
+def test_wide_witness_refused_before_listing_subsets(kind, payload):
+    cert = make_certificate(kind, "A:2", Window(1, 80), WIDE, payload)
+    start = time.perf_counter()
+    ok, reason = verify_certificate(cert)
+    assert time.perf_counter() - start < 1
+    assert not ok and "40 elements" in reason and "cap 25" in reason
+
+
+def test_wide_chain_and_transfer_witnesses_still_verify():
+    chain = detect_chain("all", Window(1, 40), 31)
+    transfer = schreier_transfer(1, Window(1, 40))
+    assert len(chain.witness) == 30 and len(transfer.witness) == 38
+    assert verify_certificate(chain) == (True, "ok")
+    assert verify_certificate(transfer) == (True, "ok")
 
 
 def test_chain_verifier():

@@ -257,6 +257,13 @@ def test_dichotomy_past_w_squared(capsys):
     assert doc["certificates"][0]["witness"] == [1, 2, 3, 4, 5, 6]
 
 
+def test_dichotomy_past_the_old_candidate_budget(capsys):
+    rc, out, _ = run(capsys, "dichotomy", "--hereditary", "A:1",
+                     "--family", "A:w", "--window", "1..20", "--target", "6")
+    assert rc == 0
+    assert out.strip() == "branch B: {2,3,4,5,6,7}"
+
+
 def test_separate(capsys):
     rc, doc, _ = run_json(capsys, "separate", "--lower", "2", "--upper", "w",
                           "--window", "1..30")
@@ -414,6 +421,19 @@ def test_verify_rejects_edited_certificate(capsys, monkeypatch, tmp_path):
     assert rc == 1
     assert doc == {"verified": False, "kind": "Chain",
                    "reason": "(1, 2, 3, 4) is outside the family"}
+
+
+def test_verify_refuses_wide_witness(capsys, monkeypatch):
+    from schreier.certificates import make_certificate, to_json
+
+    forged = make_certificate(
+        "Homogeneous", "A:2", Window(1, 80), tuple(range(1, 80, 2)),
+        {"coloring": "parity-sum", "color": 1, "target": 40, "order": "lex"})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(to_json(forged)))
+    rc, out, _ = run(capsys, "verify", "--cert", "-")
+    assert rc == 1
+    assert out.splitlines()[0] == "verified: false"
+    assert "cap 25" in out
 
 
 def test_verify_unparseable_family_is_rejected(capsys, monkeypatch):

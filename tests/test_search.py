@@ -1,5 +1,6 @@
 """Search operations: witnesses, branch selection, and certificate re-checks."""
 
+import time
 from functools import cache
 from itertools import combinations
 
@@ -10,7 +11,8 @@ from schreier import search
 from schreier.certificates import (hereditary_predicate, make_certificate,
                                   verify_certificate)
 from schreier.colorings import get_coloring, hash_coloring
-from schreier.families import (FamilySpec, parse_family, residual_after,
+from schreier.families import (FamilySpec, _down_test, parse_family,
+                               residual_after,
                                union_schreier_member,
                                uniform_member, uniform_star)
 from schreier.finsets import Window, check_hereditary, subsets_of
@@ -315,6 +317,109 @@ def test_dichotomy_past_w_squared():
     assert branches_of(certs) == ["A"]
     assert certs[0].witness == (1, 2, 3, 4, 5, 6)
     assert verify_certificate(certs[0]) == (True, "ok")
+
+
+# -- the lex searches against the candidate loops ---------------------
+#
+# hereditary_dichotomy and large_index_transfer once stepped through
+# every target-subset of the ground in lex order and re-tested all of its
+# subsets, under a candidate budget.  Those loops stay here, with no
+# budget, as the oracles for the lex searches.
+
+
+def oracle_dichotomy(hered_desc, spec, window, target):
+    hered = hereditary_predicate(hered_desc)
+    down = _down_test(spec)
+    for L in combinations(window.ground, target):
+        okA = all(hered(t) for t in subsets_of(L) if down(t))
+        okB = all(spec.star(t) and not spec.member(t)
+                  for t in subsets_of(L) if hered(t))
+        base = {"hereditary": hered_desc, "target": target}
+        certs = [make_certificate(f"DichotomyBranch{b}", spec.literal(),
+                                  window, L, dict(base, branch=b))
+                 for b, ok in (("A", okA), ("B", okB)) if ok]
+        if certs:
+            return certs
+    return []
+
+
+def oracle_large_index_transfer(into_desc, sigma, level, window, target):
+    H = hereditary_predicate(into_desc)
+    route = search._transfer_route(level, sigma)
+    drop = 2 if route == "direct" else 4
+    pred = H if route == "direct" else (lambda t: not t or H(t[1:]))
+    down = _down_test(parse_family(f"B:{level}"))
+    if target + drop > len(window.ground):
+        raise ValueError("window too small for the requested target")
+    for cand in combinations(window.ground, target + drop):
+        if not all(pred(t) for t in subsets_of(cand) if down(t)):
+            continue
+        L = cand[drop:]
+        checked, escaped = search._spread_into(level, L, H)
+        if escaped is None:
+            return make_certificate("Transfer", f"B:{level}", window, L, {
+                "variant": "large-index", "into": into_desc,
+                "sigma": "infinity" if sigma is None else str(sigma),
+                "xi": str(level), "route": route, "target": target,
+                "spread_checked": checked})
+    return None
+
+
+DICHOTOMY_PREDICATES = ["all", "down:A:1", "down:A:2", "down:A:w", "down:F:1",
+                        "down:exL", "member:F:1", "member:F:2", "member:A:1",
+                        "member:A:0"]
+DICHOTOMY_FAMILIES = ["A:1", "A:2", "A:3", "A:w", "A:w+1", "B:1", "F:1",
+                      "F:2", "exL", "exR"]
+thinned_grounds = st.sets(st.integers(1, 16), min_size=1, max_size=12).map(
+    lambda xs: Window(1, 16, tuple(xs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(desc=st.sampled_from(DICHOTOMY_PREDICATES),
+       family=st.sampled_from(DICHOTOMY_FAMILIES),
+       window=thinned_grounds, target=st.integers(1, 5))
+def test_dichotomy_matches_candidate_loop(desc, family, window, target):
+    target = min(target, len(window.ground))
+    spec = parse_family(family)
+    certs = hereditary_dichotomy(desc, spec, window, target)
+    assert certs == oracle_dichotomy(desc, spec, window, target)
+
+
+DICHOTOMY_CASES = [
+    ("down:F:1", "exL", 30, 8), ("down:exL", "exR", 30, 8),
+    ("all", "A:2", 12, 5), ("down:A:w^2", "A:w^3", 14, 6),
+    # F has no empty member, so member:F:* fails branch A at the empty set
+    ("member:F:1", "A:2", 14, 6), ("member:F:1", "exL", 20, 6),
+    ("member:F:2", "A:w", 12, 5),
+] + [(f"down:A:{k}", f"A:{j}", 14, 6) for k in range(1, 5) for j in range(1, 5)]
+
+
+@pytest.mark.parametrize("desc,family,hi,target", DICHOTOMY_CASES)
+def test_dichotomy_fixed_cases_match_candidate_loop(desc, family, hi, target):
+    spec, window = parse_family(family), Window(1, hi)
+    certs = hereditary_dichotomy(desc, spec, window, target)
+    want = oracle_dichotomy(desc, spec, window, target)
+    assert [(c.witness, c.transcript_hash) for c in certs] == \
+        [(c.witness, c.transcript_hash) for c in want]
+    assert branches_of(certs) == branches_of(want)
+
+
+def test_dichotomy_past_the_old_candidate_budget():
+    # every candidate starting at 1 fails both branches, and there are
+    # C(19, 5) = 11,628 of them
+    start = time.perf_counter()
+    certs = hereditary_dichotomy("down:A:1", parse_family("A:w"),
+                                 Window(1, 20), target=6)
+    assert time.perf_counter() - start < 1
+    assert branches_of(certs) == ["B"]
+    assert certs[0].witness == (2, 3, 4, 5, 6, 7)
+    assert verify_certificate(certs[0]) == (True, "ok")
+
+
+def test_dichotomy_budget_counts_admits(monkeypatch):
+    monkeypatch.setattr(search, "_MAX_ADMITS", 10)
+    assert hereditary_dichotomy("down:A:1", parse_family("A:w"),
+                                Window(1, 20), target=6) == []
 
 
 # -- the heredity decision --------------------------------------------
@@ -726,6 +831,36 @@ def test_large_index_infinity_surrogate():
 def test_large_index_rejects_small_index():
     with pytest.raises(ValueError):
         large_index_transfer("down:A:2", o("3"), 1, Window(1, 20))
+
+
+TRANSFER_PREDICATES = ["all", "down:A:1", "down:A:2", "down:A:w", "down:F:1",
+                       "down:B:1", "member:F:1"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(desc=st.sampled_from(TRANSFER_PREDICATES), level=st.integers(0, 2),
+       above=st.sampled_from([None, "1", "2", "w^(level+1)"]),
+       window=thinned_grounds.filter(lambda w: len(w.ground) >= 5),
+       target=st.integers(1, 4))
+def test_large_index_matches_candidate_loop(desc, level, above, window, target):
+    # above picks the index: infinity, the boundary w^level + 1, just
+    # above it, or w^(level+1)
+    sigma = None if above is None else o(
+        f"w^{level + 1}" if above.startswith("w") else f"w^{level}+{above}")
+    try:
+        want = oracle_large_index_transfer(desc, sigma, level, window, target)
+    except ValueError:  # window too small for the route
+        with pytest.raises(ValueError, match="too small"):
+            large_index_transfer(desc, sigma, level, window, target)
+        return
+    assert large_index_transfer(desc, sigma, level, window, target) == want
+
+
+def test_large_index_past_the_old_candidate_budget():
+    cert = large_index_transfer("down:F:1", o("w^2+5"), 2, Window(1, 24),
+                                target=5)
+    assert cert.witness == (7, 8, 9, 10, 11)
+    assert verify_certificate(cert) == (True, "ok")
 
 
 def test_large_index_route_forgery_rejected():
