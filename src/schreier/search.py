@@ -23,11 +23,12 @@ from .families import (
     iter_union_schreier,
     parse_family,
 )
-from .finsets import EMPTY, FinSet, Window, spread, subsets_of
+from .finsets import EMPTY, FinSet, Window, spread
 from .ordinals import (
     ONE,
     ZERO,
     Ordinal,
+    _walk,
     add,
     as_ordinal,
     compare,
@@ -107,60 +108,39 @@ def homogenize(spec: FamilySpec, coloring: Coloring, window: Window,
         "target": target,
         "order": "lex",
     }
-    _record_palette(payload, coloring)
+    # the 2-colour default stays implicit, so those certificates keep
+    # their bytes; any other palette is needed to rebuild the coloring
+    if coloring.colors != 2:
+        payload["colors"] = coloring.colors
     return make_certificate("Homogeneous", spec.literal(), window, L, payload)
-
-
-_CLASH = object()
-
-
-def _shared_color(coloring: Coloring, color, members):
-    """The colour of every set in members, agreeing with color unless that
-    is None (not fixed yet); _CLASH at the first set that differs."""
-    for t in members:
-        col = coloring(t)
-        if color is None:
-            color = col
-        elif col != color:
-            return _CLASH
-    return color
 
 
 def _homogenize_admit(spec: FamilySpec, coloring):
     """homogenize's admit rule and root state for _lex_first.
 
-    A state is (colour fixed so far or None, frontier).  For a system
-    family the frontier lists each subset of the partial set whose
-    residual is not 0, with that residual, so appending e costs one
-    descend per entry: a residual of 0 is a member to colour, any other
-    extends the frontier.  Other kinds test every subset of the partial
-    set and carry no frontier.
+    A state is (colour fixed so far or None, _kept frontier).  The
+    frontier keeps the star sets, which hold every member; a custom kind
+    without a star test keeps every set.  Appending e colours each kept
+    s + (e,) that is a member, at residual 0 or by the member test, and
+    is refused at the first colour that differs.
     """
-    xi = spec.system_ordinal()
-    if xi is None:
-        def admit(partial, e, state):
-            completed = (s + (e,) for s in subsets_of(partial))
-            color = _shared_color(coloring, state[0],
-                                  filter(spec.member, completed))
-            return color is not _CLASH, (color, None)
-        return admit, (None, None)
+    keep = spec if spec.kind != "custom" or spec.star_predicate else (
+        lambda t: True)
+    grow, root = _kept(keep)
 
     def admit(partial, e, state):
         color, frontier = state
-        grown = [(s + (e,), descend(r, e)) for s, r in frontier]
-        color = _shared_color(coloring, color,
-                               (t for t, r in grown if r is ZERO))
-        return color is not _CLASH, (
-            color, frontier + [g for g in grown if g[1] is not ZERO])
+        grown, frontier = grow(frontier, e)
+        for t, r in grown:
+            if r is ZERO or r is None and spec.member(t):
+                col = coloring(t)
+                if color is None:
+                    color = col
+                elif col != color:
+                    return False, state
+        return True, (color, frontier)
 
-    return admit, (None, [] if xi is ZERO else [(EMPTY, xi)])
-
-
-def _record_palette(payload, coloring: Coloring) -> None:
-    # the 2-colour default stays implicit, so those certificates keep
-    # their bytes; any other palette is needed to rebuild the coloring
-    if coloring.colors != 2:
-        payload["colors"] = coloring.colors
+    return admit, (None, root)
 
 
 # -- Sperner refinement -----------------------------------------------
@@ -174,8 +154,8 @@ def sperner_refine(spec: FamilySpec, window: Window,
     members are pairwise incomparable iff each one has no proper member
     subset, so the search admits an element only while every member it
     completes stays minimal: homogenize's admit with minimality as the
-    colour.  Both admits meet every member subset of a member before the
-    member itself, so the first member met is minimal and fixes the
+    colour.  The frontier meets every member subset of a member before
+    the member itself, so the first member met is minimal and fixes the
     colour at True.
     """
     if target < 1:
@@ -223,13 +203,13 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     raise ValueError before that decision.
     """
     hered = hereditary_predicate(hered_desc)
-    down = _down_test(spec)  # ex112 and custom raise before the probe
+    _down_test(spec)  # ex112 and custom raise before the probe
     _probe_hereditary(hered_desc)
     if not 1 <= target <= len(window.ground):
         raise ValueError("target outside the window")
-    step_a, root_a = _kept(down, hered)
-    step_b, root_b = _kept(hered,
-                           lambda t: spec.star(t) and not spec.member(t))
+    step_a, root_a = _every(spec, hered)
+    step_b, root_b = _every(hered,
+                            lambda t: spec.star(t) and not spec.member(t))
 
     def admit(partial, e, state):
         a, b = step_a(state[0], e), step_b(state[1], e)
@@ -255,19 +235,47 @@ def _budgeted(admit):
                                 else (False, state))
 
 
-def _kept(keep, ok):
-    """Step and root state for "every subset of the partial set that keep
-    accepts passes ok", keep subset-closed on nonempty sets.  A state is
-    the empty set plus those subsets, or None once a check failed, so
-    appending e tests only s + (e,) for each s in it.
+def _kept(keep):
+    """The frontier of the subsets of the partial set that keep keeps.
+
+    keep is a FamilySpec, kept by its star test, or a predicate, and
+    keeps every nonempty prefix of a set it keeps.  A frontier lists
+    (s, r), in the order met, for the empty set and each kept subset s,
+    but not for a member of a system family, which has no kept child;
+    grow(frontier, e) returns the kept s + (e,) with their r, and the
+    frontier after e.  For a system family r is the residual of s, so a
+    child costs one descend, and a member is at 0; otherwise r is None.
     """
+    xi = keep.system_ordinal() if isinstance(keep, FamilySpec) else None
+    if xi is None:
+        test = keep.star if isinstance(keep, FamilySpec) else keep
+
+        def grow(frontier, e):
+            grown = [(t, None) for s, _ in frontier if test(t := s + (e,))]
+            return grown, frontier + grown
+        return grow, [(EMPTY, None)]
+
+    def grow(frontier, e):
+        # descend's memo read inline, as in _walk; no ordinal is falsy
+        grown = [(s + (e,), r._next.get(e) or descend(r, e))
+                 for s, r in frontier]
+        return grown, frontier + [g for g in grown if g[1] is not ZERO]
+    return grow, [] if xi is ZERO else [(EMPTY, xi)]
+
+
+def _every(keep, ok):
+    """Step and root state for "every subset of the partial set that keep
+    keeps passes ok": a _kept frontier, or None once a check failed."""
+    grow, root = _kept(keep)
+
     def step(frontier, e):
         if frontier is None:
             return None
-        grown = [t for t in (s + (e,) for s in frontier) if keep(t)]
-        return frontier + grown if all(map(ok, grown)) else None
+        grown, frontier = grow(frontier, e)
+        return frontier if all(map(ok, [t for t, _ in grown])) else None
 
-    return step, None if keep(EMPTY) and not ok(EMPTY) else [EMPTY]
+    kept = isinstance(keep, FamilySpec) or keep(EMPTY)  # a star test keeps ()
+    return step, None if kept and not ok(EMPTY) else root
 
 
 def rank_separation(xi1, xi2, window: Window,
@@ -280,7 +288,15 @@ def rank_separation(xi1, xi2, window: Window,
     if not 1 <= target <= len(window.ground):
         raise ValueError("target outside the window")
 
-    admit, root = _separation_admit(xi1, xi2)
+    # every level-xi1 member, at residual 0, must be a proper initial
+    # segment of a level-xi2 member
+    grow, root = _kept(FamilySpec("A", xi1))
+
+    def admit(partial, e, frontier):
+        grown, frontier = grow(frontier, e)
+        return all(_walk(xi2, t) is not ZERO
+                   for t, r in grown if r is ZERO), frontier
+
     hit = _lex_first(window.ground, target, admit, root)
     if hit is None:
         return None
@@ -293,29 +309,6 @@ def rank_separation(xi1, xi2, window: Window,
     }
     return make_certificate("DichotomyBranchB", f"A:{format_ordinal(xi2)}",
                             window, L, payload)
-
-
-def _separation_admit(xi1: Ordinal, xi2: Ordinal):
-    """rank_separation's admit rule and root frontier for _lex_first.
-
-    Appending e must leave every level-xi1 member it completes a proper
-    initial segment of a level-xi2 member.  The frontier holds, for each
-    subset of the partial set whose xi1 residual is not 0, its residuals
-    at xi1 and at xi2 (None once stuck); a subset at 0 or stuck for xi1
-    completes no member any more.
-    """
-    def admit(partial, e, frontier):
-        grown = []
-        for r1, r2 in frontier:
-            r1 = descend(r1, e)
-            r2 = None if r2 is None or r2 is ZERO else descend(r2, e)
-            if r1 is not ZERO:
-                grown.append((r1, r2))
-            elif r2 is None or r2 is ZERO:
-                return False, frontier
-        return True, frontier + grown
-
-    return admit, [] if xi1 is ZERO else [(xi1, xi2)]
 
 
 def detect_chain(hered_desc: str, window: Window,
@@ -553,7 +546,7 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     lift = route == "lift"
     pred = (lambda t: not t or H(t[1:])) if lift else H
     drop = 4 if lift else 2
-    step, root = _kept(_down_test(parse_family(f"B:{level}")), pred)
+    step, root = _every(FamilySpec("B", as_ordinal(level)), pred)
     size = target + drop
     if size > len(window.ground):
         raise ValueError("window too small for the requested target")

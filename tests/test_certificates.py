@@ -211,6 +211,32 @@ def test_wide_witness_refused_before_listing_subsets(kind, payload):
     assert not ok and "40 elements" in reason and "cap 25" in reason
 
 
+def test_homogeneous_verifier_lists_members_only():
+    # 25 odd numbers: A:2 has 300 members there among 2^25 subsets, and
+    # every pair of odds has an even sum
+    odds = tuple(range(1, 50, 2))
+    cert = make_certificate(
+        "Homogeneous", "A:2", Window(1, 49), odds,
+        {"coloring": "parity-sum", "color": 1, "target": 25, "order": "lex"})
+    start = time.perf_counter()
+    assert verify_certificate(cert) == (True, "ok")
+    assert time.perf_counter() - start < 1
+
+
+def test_homogeneous_verifier_edge_witnesses():
+    # the empty set is A:0's member and is never coloured; an empty
+    # witness has no members to colour
+    def cert(family, witness, color):
+        return make_certificate(
+            "Homogeneous", family, Window(1, 9), witness,
+            {"coloring": "parity-sum", "color": color,
+             "target": len(witness), "order": "lex"})
+    assert verify_certificate(cert("A:0", (1, 2, 3), 7)) == (True, "ok")
+    assert verify_certificate(cert("A:2", (), 7)) == (True, "ok")
+    ok, reason = verify_certificate(cert("A:2", (1, 2, 3), 1))
+    assert not ok and reason.startswith("member (1, 2) has color")
+
+
 def test_wide_chain_and_transfer_witnesses_still_verify():
     chain = detect_chain("all", Window(1, 40), 31)
     transfer = schreier_transfer(1, Window(1, 40))

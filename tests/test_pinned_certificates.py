@@ -9,6 +9,7 @@ backtracking implementations.
 import pytest
 
 from schreier import (
+    Coloring,
     Window,
     detect_chain,
     hash_coloring,
@@ -42,6 +43,29 @@ def test_homogenize_pinned(family, seed, witness, digest):
     cert = homogenize(parse_family(family), coloring, Window(1, 18), 4)
     assert (cert.witness, cert.transcript_hash) == (witness, digest)
     assert verify_certificate(cert, coloring=coloring) == (True, "ok")
+
+
+# colouring calls per homogenize search, under hash_coloring(0) and (1):
+# the searches stop at the first member whose colour clashes, so these
+# counts pin the order in which the frontier meets the members
+COLORING_CALL_PINS = [
+    ("A:2", 18, 4, (60, 39)),
+    ("A:w", 18, 5, (6, 8)),
+    ("F:1", 14, 4, (240, 49)),
+    ("exL", 14, 4, (15, 5)),
+]
+
+
+@pytest.mark.parametrize("family,hi,target,calls", COLORING_CALL_PINS)
+def test_homogenize_coloring_calls_pinned(family, hi, target, calls):
+    made = []
+    for seed in (0, 1):
+        seen, oracle = [], hash_coloring(seed).oracle
+        homogenize(parse_family(family),
+                   Coloring(lambda s: seen.append(s) or oracle(s)),
+                   Window(1, hi), target)
+        made.append(len(seen))
+    assert tuple(made) == calls
 
 
 def test_sperner_refine_pinned():

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schreier import search
+from schreier import families, search
 from schreier.certificates import (hereditary_predicate, make_certificate,
                                   verify_certificate)
 from schreier.colorings import get_coloring, hash_coloring
@@ -22,7 +22,6 @@ from schreier.rank import index_compare
 from schreier.search import (
     _homogenize_admit,
     _lex_first,
-    _separation_admit,
     detect_chain,
     hereditary_dichotomy,
     homogenize,
@@ -161,11 +160,26 @@ def greedy_walk(admit, state, oracle, want_state, ground):
             state, want_state = next_state, want_next
 
 
-@pytest.mark.parametrize("family", FRONTIER_FAMILIES)
+def odd_min_pairs(star):
+    # members are the pairs with an odd minimum; their initial segments
+    # are the empty set, the odd singletons and the members
+    return FamilySpec(
+        kind="custom", predicate=lambda s: len(s) == 2 and s[0] % 2 == 1,
+        star_predicate=(lambda s: not s or len(s) <= 2 and s[0] % 2 == 1)
+        if star else None, name="odd-min-pairs")
+
+
+HOMOGENIZE_FRONTIER_SPECS = [
+    pytest.param(parse_family(f), id=f)
+    for f in FRONTIER_FAMILIES + ["F:1", "F:2", "exL", "exR", "ex112"]] + [
+    pytest.param(odd_min_pairs(True), id="odd-min-pairs-star"),
+    pytest.param(odd_min_pairs(False), id="odd-min-pairs-no-star")]
+
+
+@pytest.mark.parametrize("spec", HOMOGENIZE_FRONTIER_SPECS)
 @settings(max_examples=50, deadline=None)
 @given(ground=partial_sets, seed=st.integers(0, 1 << 20))
-def test_homogenize_frontier_matches_subset_admit(family, ground, seed):
-    spec = parse_family(family)
+def test_homogenize_frontier_matches_subset_admit(spec, ground, seed):
     coloring = hash_coloring(seed)
     admit, root = _homogenize_admit(spec, coloring)
     oracle = oracle_homogenize_admit(spec, coloring)
@@ -176,23 +190,49 @@ def test_homogenize_frontier_matches_subset_admit(family, ground, seed):
         if ok:
             assert state[0] == want_color, (partial, e)
             kept, frontier = partial + (e,), state[1]
-    # the frontier holds each subset of the kept set that is neither
-    # stuck nor a member, once, with its residual
+    # for a system family the frontier holds each subset of the kept set
+    # that is neither stuck nor a member, once, with its residual; for
+    # other kinds the empty set and each subset the star test keeps, or
+    # every subset when there is no star test
     xi = spec.system_ordinal()
-    alive = [(s, residual_after(xi, s)) for s in subsets_of(kept)]
-    assert sorted(frontier) == sorted(
-        (s, r) for s, r in alive if r is not None and r is not ZERO)
+    if xi is not None:
+        alive = [(s, residual_after(xi, s)) for s in subsets_of(kept)]
+        want = [(s, r) for s, r in alive if r is not None and r is not ZERO]
+    else:
+        keep = spec.star if spec.star_predicate or spec.kind != "custom" \
+            else (lambda s: True)
+        want = [(s, None) for s in subsets_of(kept) if not s or keep(s)]
+    assert sorted(frontier) == sorted(want)
+
+
+def separation_admit(xi1, xi2):
+    """The admit and root state that rank_separation hands to _lex_first."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_lex_first",
+                   lambda ground, target, admit, state: seen.append(
+                       (admit, state)))
+        search.rank_separation(xi1, xi2, Window(1, 1), 1)
+    return seen[0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(pair=st.sampled_from(SEPARATION_PAIRS), ground=partial_sets)
 def test_separation_frontier_matches_subset_admit(pair, ground):
     xi1, xi2 = o(pair[0]), o(pair[1])
-    admit, root = _separation_admit(xi1, xi2)
+    admit, root = separation_admit(xi1, xi2)
     oracle = oracle_separation_admit(xi1, xi2)
-    for partial, e, (ok, want_ok), _ in greedy_walk(admit, root, oracle,
-                                                      None, ground):
+    kept, frontier = (), root
+    for partial, e, (ok, want_ok), (state, _) in greedy_walk(
+            admit, root, oracle, None, ground):
         assert ok == want_ok, (partial, e)
+        if ok:
+            kept, frontier = partial + (e,), state
+    # the frontier holds each subset of the kept set alive at xi1 and not
+    # a level-xi1 member, once, with its xi1 residual
+    alive = [(s, residual_after(xi1, s)) for s in subsets_of(kept)]
+    assert sorted(frontier) == sorted(
+        (s, r) for s, r in alive if r is not None and r is not ZERO)
 
 
 @pytest.mark.parametrize("family", FRONTIER_FAMILIES + ["F:1", "exL"])
@@ -223,7 +263,7 @@ def oracle_sperner_admit(spec):
 
 
 # the system families are Sperner already, so the rejections come from
-# the kinds that keep the subset admit
+# the other kinds, whose frontiers their star tests prune
 SPERNER_FAMILIES = [parse_family(f) for f in FRONTIER_FAMILIES
                     + ["F:1", "F:2", "exL", "ex112"]] + [FamilySpec(
     kind="custom", predicate=lambda s: len(s) in (2, 3) and s[0] % 2 == 1,
@@ -811,6 +851,18 @@ def test_large_index_direct_route():
     assert cert.payload_dict()["route"] == "direct"
     ok, reason = verify_certificate(cert)
     assert ok, reason
+
+
+def test_large_index_kept_subsets_carry_residuals(monkeypatch):
+    # the B:2 keep grows each kept subset by one descend, so no star test
+    # walks from the root
+    calls = []
+    real = families.residual_after
+    monkeypatch.setattr(families, "residual_after",
+                        lambda xi, s: calls.append(s) or real(xi, s))
+    cert = large_index_transfer("down:F:1", o("w^2+5"), 2, Window(1, 24), 5)
+    assert cert.witness == (7, 8, 9, 10, 11)
+    assert calls == []
 
 
 def test_large_index_boundary_lift():
