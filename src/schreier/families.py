@@ -17,10 +17,10 @@ family of sets with |s| = min s.
 
 Membership predicates use the infinite ground line: a star test asks for an
 extension somewhere in the naturals, not merely inside a window.  Windowed
-enumeration is exhaustive over the window's ground set: a prefix walk for
-the system families and the union levels, a subset filter for the rest;
-closures computed on a window only count witnesses inside the window
-(documented on the operations).
+enumeration is exhaustive over the window's ground set: a prefix walk
+pruned by the star test, except that a custom kind with no star test
+filters every subset; closures computed on a window only count witnesses
+inside the window (documented on the operations).
 """
 
 from __future__ import annotations
@@ -251,11 +251,11 @@ def _resolve(spec: FamilySpec):
             return (lambda s: bool(s) and len(s) == s[0],
                     lambda s: not s or len(s) <= s[0])
 
-        def walk(s):
+        def walk(s, five=as_ordinal(5), w2=OMEGA + OMEGA):
             # ex112, mixed 2w-uniform: the section at 1 is the 5-sets, at 2
-            # the |s|=min s family, above 2 the system family at w+n
+            # the |s|=min s family, above 2 the system family at w+n = w*2[n+1]
             n = s[0]
-            sec = as_ordinal(5) if n == 1 else OMEGA if n == 2 else OMEGA + n
+            sec = five if n == 1 else OMEGA if n == 2 else descend(w2, n + 1)
             return residual_after(sec, s[1:])
         return (lambda s: bool(s) and walk(s) is ZERO,
                 lambda s: not s or walk(s) is not None)
@@ -337,27 +337,16 @@ def _down_test(spec: FamilySpec) -> Callable[[FinSet], bool]:
 def enumerate_family(spec: FamilySpec, window: Window) -> List[FinSet]:
     """All members whose elements lie in the window's ground set, shortlex.
 
-    System families are listed by the count-pruned prefix walk, other
-    kinds by filtering every subset.  Either way the ground set is capped
-    at 25 elements; wider windows belong to the vectorized array interface.
+    The ground set is capped at 25 elements by _cap.
     """
-    _cap(len(window.ground))
-    xi = spec.system_ordinal()
-    if xi is not None:
-        return _system_members(xi, window.ground)
-    return [s for s in window.subsets() if spec.member(s)]
+    return _members(spec, window.ground)
 
 
 def section(spec: FamilySpec, m: int, window: Window) -> List[FinSet]:
     """The section at m: sets s > m with {m} union s a member, shortlex."""
     if m not in window:
         raise ValueError(f"{m} is not in the window ground set")
-    tail = window.tail(m)
-    _cap(len(tail))
-    xi = spec.system_ordinal()
-    if xi is not None:
-        return [] if xi is ZERO else _system_members(descend(xi, m), tail)
-    return [s for s in subsets_of(tail) if spec.member((m,) + s)]
+    return _members(spec, window.tail(m), (m,))
 
 
 def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
@@ -541,18 +530,45 @@ def _system_walk(xi: Ordinal, ground: Sequence[int]) -> Iterator[FinSet]:
     return _lex_walk(ground, (xi, rows[xi]), step, ZERO)
 
 
-def _system_members(xi: Ordinal, ground: Sequence[int]) -> List[FinSet]:
-    """Members of the system family at xi inside the ground list, shortlex.
+def _kept_sets(keep: Callable[[FinSet], bool], ground: Sequence[int],
+               head: FinSet = EMPTY) -> Iterator[FinSet]:
+    """The sets t over the ground list with keep(head + t), in lex order.
 
-    The walk keeps only nodes below a member, so a non-member node has a
-    child, while a member has none: the members are the nodes not
-    followed by a longer one.
+    keep is prefix-closed, so a set it drops is pruned with its subtree.
     """
-    if xi is ZERO:
-        return [EMPTY]
-    nodes = list(_system_walk(xi, ground))
-    return sorted([t for t, u in zip(nodes, nodes[1:] + [EMPTY])
-                   if len(u) <= len(t)], key=len)
+    if keep(head):
+        yield EMPTY
+        yield from _lex_walk(
+            ground, head, lambda s, x, k: t if keep(t := s + (x,)) else None,
+            None)
+
+
+def _members(spec: FamilySpec, ground: Sequence[int],
+             head: FinSet = EMPTY) -> List[FinSet]:
+    """The sets t over the ground list with head + t a member, shortlex.
+
+    Walked by the count rows from head's residual for a system family, by
+    the union walk from the root for a union level, else by the star test.
+    """
+    _cap(len(ground))
+    xi = spec.system_ordinal()
+    if xi is not None:
+        r = residual_after(xi, head)
+        if r is None or r is ZERO:
+            return [] if r is None else [EMPTY]
+        # nodes lie below members, so a member is one no longer node follows
+        nodes = list(_system_walk(r, ground))
+        found = [t for t, u in zip(nodes, nodes[1:] + [EMPTY])
+                 if len(u) <= len(t)]
+    elif spec.kind == "F" and not head:
+        a = as_ordinal(spec.ordinal)
+        found = _lex_walk(ground, *_union_step(a, ground), False)
+    elif spec.kind == "custom" and spec.star_predicate is None:
+        return [t for t in subsets_of(ground) if spec.member(head + t)]
+    else:
+        found = [t for t in _kept_sets(spec.star, ground, head)
+                 if spec.member(head + t)]
+    return sorted(found, key=len)
 
 
 # Prefix closure (see the union hierarchy above): no union member lies

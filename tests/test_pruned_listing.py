@@ -1,0 +1,208 @@
+"""Pruned prefix walks against the subset filters they replace.
+
+Two oracles test every subset of a ground list: the member filter that
+``enumerate_family`` and ``section`` ran for the kinds that are not system
+families, and the Dichotomy verifier's loop over every subset of the
+witness.  The library now lists only the sets a prefix-closed test keeps;
+these tests hold it to the oracles' answers, and count that the subsets it
+skips are really skipped.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import schreier.certificates as certificates
+import schreier.families as families
+import schreier.finsets as finsets
+from schreier.certificates import (hereditary_predicate, make_certificate,
+                                   verify_certificate)
+from schreier.cli import main
+from schreier.families import (FamilySpec, _down_test, _kept_sets,
+                               enumerate_family, parse_family, section)
+from schreier.finsets import EMPTY, Window, subsets_of
+from schreier.ordinals import parse_ordinal
+from schreier.search import hereditary_dichotomy, rank_separation
+
+
+# -- oracles ------------------------------------------------------------
+
+
+def filter_members(spec, ground, head=EMPTY):
+    """Every t over ground, shortlex, with head + t a member."""
+    return [t for t in subsets_of(ground) if spec.member(head + t)]
+
+
+def filter_failures(cert):
+    """Every subset of the witness the Dichotomy check rejects, shortlex."""
+    spec = parse_family(cert.family)
+    hered = hereditary_predicate(cert.payload_dict()["hereditary"])
+    if cert.kind == "DichotomyBranchA":
+        down = _down_test(spec)
+        return [t for t in subsets_of(cert.witness)
+                if down(t) and not hered(t)]
+    return [t for t in subsets_of(cert.witness)
+            if hered(t) and not (spec.star(t) and not spec.member(t))]
+
+
+# -- custom kinds -------------------------------------------------------
+
+
+def _odd_triple(s):
+    return len(s) == 3 and sum(s) % 2 == 1
+
+
+def _odd_triple_star(s):
+    # any shorter set extends to an odd-sum triple over the ground line
+    return len(s) < 3 or _odd_triple(s)
+
+
+ODD_TRIPLE = FamilySpec("custom", predicate=_odd_triple,
+                        star_predicate=_odd_triple_star, name="odd-triple")
+ODD_TRIPLE_BARE = FamilySpec("custom", predicate=_odd_triple,
+                             name="odd-triple-bare")
+
+PANEL = [parse_family(t) for t in
+         ("F:0", "F:1", "F:2", "F:3", "exL", "exR", "ex112")]
+PANEL += [ODD_TRIPLE, ODD_TRIPLE_BARE]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(PANEL),
+       ground=st.sets(st.integers(1, 14), min_size=1, max_size=12))
+def test_listing_matches_subset_filter(spec, ground):
+    g = tuple(sorted(ground))
+    w = Window(g[0], g[-1], g)
+    assert enumerate_family(spec, w) == filter_members(spec, g)
+    for m in g:
+        tail = tuple(x for x in g if x > m)
+        assert section(spec, m, w) == filter_members(spec, tail, (m,)), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(PANEL[:-1]),
+       ground=st.sets(st.integers(1, 14), max_size=10),
+       head=st.sampled_from([EMPTY, (1,), (2,), (1, 3)]))
+def test_kept_sets_is_the_filtered_star(spec, ground, head):
+    g = tuple(x for x in sorted(ground) if not head or x > head[-1])
+    got = list(_kept_sets(spec.star, g, head))
+    assert got == sorted(got)  # lex order
+    assert sorted(got, key=len) == [t for t in subsets_of(g)
+                                    if spec.star(head + t)]
+
+
+@pytest.mark.parametrize("text", ["F:1", "exL", "exR", "ex112"])
+def test_listing_skips_the_subset_filter(monkeypatch, text):
+    def refuse(*_, **__):
+        raise AssertionError("every subset was listed")
+
+    monkeypatch.setattr(families, "subsets_of", refuse)
+    monkeypatch.setattr(finsets, "subsets_of", refuse)
+    spec = parse_family(text)
+    g = tuple(range(1, 13))
+    assert enumerate_family(spec, Window(1, 12)) == filter_members(spec, g)
+    assert section(spec, 2, Window(1, 12)) == filter_members(spec, g[2:],
+                                                             (2,))
+
+
+def test_custom_kind_without_star_filters(monkeypatch):
+    seen = []
+    real = families.subsets_of
+    monkeypatch.setattr(families, "subsets_of",
+                        lambda g: seen.append(g) or real(g))
+    assert enumerate_family(ODD_TRIPLE_BARE, Window(1, 6)) == [
+        t for t in subsets_of(range(1, 7)) if _odd_triple(t)]
+    assert seen == [(1, 2, 3, 4, 5, 6)]
+
+
+def test_enum_exr_counts_fibonacci(capsys):
+    # members of exR on [1,n], |s| = min s, number Fib(n)
+    assert main(["enum", "--family", "exR", "--window", "1..25",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 75025
+
+
+# -- the Dichotomy verifier --------------------------------------------
+
+
+def _fixed():
+    """Dichotomy certificates of both branches and every predicate form."""
+    made = [
+        make_certificate("DichotomyBranchB", "exL", Window(1, 30),
+                         (1, 2, 3, 4, 5, 6),
+                         {"hereditary": "down:F:1", "branch": "B",
+                          "target": 6}),
+        make_certificate("DichotomyBranchB", "A:1", Window(1, 10), (1, 2, 3),
+                         {"hereditary": "member:A:1", "branch": "B",
+                          "target": 3}),
+        make_certificate("DichotomyBranchA", "exR", Window(1, 30),
+                         (1, 2, 3, 4, 5, 6),
+                         {"hereditary": "down:exL", "branch": "A",
+                          "target": 6}),
+        make_certificate("DichotomyBranchA", "exL", Window(1, 30),
+                         (1, 2, 3, 4),
+                         {"hereditary": "down:F:1", "branch": "A",
+                          "target": 4}),
+        make_certificate("DichotomyBranchB", "A:w", Window(1, 20),
+                         (2, 3, 4, 5, 6, 7),
+                         {"hereditary": "all", "branch": "B", "target": 6}),
+    ]
+    for desc, fam, hi, target in [
+            ("all", "A:2", 12, 5), ("down:A:1", "A:w", 20, 6),
+            ("down:A:2", "A:w", 14, 6), ("down:F:1", "exL", 30, 6),
+            ("down:exL", "exR", 30, 8), ("member:F:1", "A:w", 16, 6),
+            ("member:A:1", "A:2", 12, 5), ("down:A:w*2", "A:w+2", 20, 6)]:
+        made += hereditary_dichotomy(desc, parse_family(fam),
+                                     Window(1, hi), target)
+    for xi1, xi2, hi, target in [("1", "2", 12, 6), ("2", "w", 20, 6),
+                                 ("w", "w^2", 20, 6), ("w", "w*2", 20, 6)]:
+        made.append(rank_separation(parse_ordinal(xi1), parse_ordinal(xi2),
+                                    Window(1, hi), target))
+    return made
+
+
+def _mutants(cert):
+    """The certificate re-made on every witness one element away."""
+    w, lo, hi = cert.witness, cert.window.lo, cert.window.hi
+    near = {w[:i] + w[i + 1:] for i in range(len(w))}
+    near |= {tuple(sorted(w + (x,))) for x in range(lo, hi + 1)
+             if x not in w}
+    near |= {tuple(sorted(w[:i] + (w[i] + 1,) + w[i + 1:]))
+             for i in range(len(w)) if w[i] + 1 not in w}
+    return [make_certificate(cert.kind, cert.family, cert.window, v,
+                             cert.payload_dict()) for v in sorted(near)]
+
+
+def test_dichotomy_verifier_matches_subset_oracle():
+    base = _fixed()
+    assert {c.kind for c in base} == {"DichotomyBranchA", "DichotomyBranchB"}
+    rejected = 0
+    for cert in base + [m for c in base for m in _mutants(c)]:
+        failures = filter_failures(cert)
+        ok, reason = verify_certificate(cert)
+        assert ok == (not failures), (cert, reason)
+        if failures:
+            # the walk names the lex-first failing set
+            assert reason.startswith(f"{min(failures)} "), (cert, reason)
+            rejected += 1
+    assert rejected > 0
+
+
+def test_dichotomy_verifier_lists_only_the_subset_closure(monkeypatch):
+    # 20 elements: the subset filter made 2^20 = 1,048,576 closure tests,
+    # while A:2's closure holds 211 sets there
+    calls = []
+    real = certificates._down_test
+
+    def counting(spec):
+        test = real(spec)
+        return lambda t: calls.append(t) or test(t)
+
+    monkeypatch.setattr(certificates, "_down_test", counting)
+    cert = make_certificate("DichotomyBranchA", "A:2", Window(21, 40),
+                            tuple(range(21, 41)),
+                            {"hereditary": "all", "branch": "A",
+                             "target": 20})
+    assert verify_certificate(cert) == (True, "ok")
+    assert len(calls) < 2000

@@ -16,7 +16,7 @@ from schreier.families import (FamilySpec, _down_test, parse_family,
                                union_schreier_member,
                                uniform_member, uniform_star)
 from schreier.finsets import Window, check_hereditary, subsets_of
-from schreier.ordinals import (ZERO, compare, descend, from_int,
+from schreier.ordinals import (ONE, ZERO, add, compare, descend, from_int,
                                omega_power, parse_ordinal)
 from schreier.rank import index_compare
 from schreier.search import (
@@ -326,6 +326,26 @@ def test_dichotomy_ladder_matches_symbolic_comparison():
                 assert "A" in got, (k, j)
             for c in certs:
                 assert verify_certificate(c)[0]
+
+
+LADDER = ["2", "w", "w+1", "w+2", "w*2"]
+# a finite window puts small minima in every witness, where A:w*2's members
+# are short: its branch there is not the symbolic one
+LADDER_ARTEFACTS = {("w+1", "w*2"): ["A"], ("w+2", "w*2"): ["A"],
+                    ("w*2", "w+2"): ["B"]}
+
+
+@pytest.mark.parametrize("b", LADDER)
+@pytest.mark.parametrize("a", LADDER)
+def test_dichotomy_ladder_at_infinite_indices(a, b):
+    certs = hereditary_dichotomy(f"down:A:{a}", parse_family(f"A:{b}"),
+                                 Window(1, 20), target=6)
+    verdict = index_compare(add(o(a), ONE), o(b))
+    symbolic = {"FirstBranch": ["A"], "SecondBranch": ["B"],
+                "Boundary": ["A"]}[verdict]
+    assert branches_of(certs) == LADDER_ARTEFACTS.get((a, b), symbolic)
+    for c in certs:
+        assert verify_certificate(c) == (True, "ok")
 
 
 def test_dichotomy_validation():
