@@ -523,7 +523,15 @@ def _build_bases():
 
 
 def _forgeries(kind: str, doc) -> list:
-    """Four tampered bodies per kind, each provably invalid once re-signed."""
+    """Tampered bodies, each provably invalid once re-signed: four per
+    kind (six for Transfer), then a window that leaves out the witness."""
+    w = doc["window"]
+    ground = w.get("ground", range(w["lo"], w["hi"] + 1))
+    return _kind_forgeries(kind, doc) + [_set_top(doc, "window", dict(
+        w, ground=[x for x in ground if x != doc["witness"][-1]]))]
+
+
+def _kind_forgeries(kind: str, doc) -> list:
     if kind == "Homogeneous":
         color = doc["payload"]["color"]
         return [
@@ -569,6 +577,8 @@ def _forgeries(kind: str, doc) -> list:
             _set_payload(doc, "xi", "3"),
             {**json.loads(json.dumps(doc)),
              "window": {"lo": 1, "hi": doc["window"]["hi"] - 1}},
+            _set_top(doc, "family", "B:2"),
+            _set_payload(doc, "dropped", doc["payload"]["dropped"][::-1]),
         ]
     raise ValueError(kind)
 

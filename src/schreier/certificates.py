@@ -2,12 +2,13 @@
 
 Every search emits a certificate binding its witness, family, window and
 outcome under a transcript hash.  Verification recomputes the hash first
-(any mutation is rejected before semantics are consulted), then re-checks
-the claim by direct enumeration inside the witness, independent of the
-search that produced it: the Homogeneous and Sperner checks list the
-family's members there with enumerate_family, and the Dichotomy check walks
-the subsets a prefix-closed test keeps.  These three refuse a witness over
-families._cap's 25 elements before listing any set.
+(any mutation is rejected before semantics are consulted), then requires
+the witness inside the window's ground, then re-checks the claim.  The
+Homogeneous and Sperner checks list the family's members inside the
+witness with enumerate_family, and the Dichotomy check walks the subsets a
+prefix-closed test keeps; these three refuse a witness over families._cap's
+25 elements before listing any set.  A Transfer certificate is rebuilt
+from its record by the builder the search uses and must match it.
 """
 
 from __future__ import annotations
@@ -190,18 +191,18 @@ def _verify_dichotomy(cert: Certificate):
     try:
         _cap(len(cert.witness))
         spec = parse_family(cert.family)
-        hered = hereditary_predicate(desc)  # CertificateError is a ValueError
-        # B keeps by the predicate, or by a (thin) member: form's star test
-        if branch == "A":
-            keep = down = _down_test(spec)
-        elif desc.startswith("member:"):
-            keep = parse_family(desc[len("member:"):]).star
-        else:
-            keep = hered
+        # A keeps by the subset closure; B by the predicate, or by a
+        # (thin) member: form's star test, parsed once with its test
+        if isinstance(desc, str) and desc.startswith("member:"):
+            named = parse_family(desc[len("member:"):])
+            hered, star = named.member, named.star
+        else:  # CertificateError is a ValueError
+            hered = star = hereditary_predicate(desc)
+        keep = _down_test(spec) if branch == "A" else star
     except ValueError as e:
         return False, str(e)
     for t in _kept_sets(keep, cert.witness):
-        if branch == "A" and down(t) and not hered(t):
+        if branch == "A" and not hered(t):
             return False, f"{t} is in the subset closure but outside the target"
         if branch == "B" and hered(t) and not (spec.star(t) and not spec.member(t)):
             return False, f"{t} is not a proper initial segment of a member"
@@ -246,21 +247,15 @@ def _verify_chain(cert: Certificate):
     return True, "ok"
 
 
-def _verify_transfer(cert: Certificate):
-    # local import: search builds certificates, so the module dependency
-    # runs the other way at load time
-    from .search import recheck_transfer
-
-    return recheck_transfer(cert)
-
-
 def verify_certificate(cert: Certificate,
                        coloring: Optional[Coloring] = None) -> Tuple[bool, str]:
-    """Hash check first, then an exhaustive semantic re-check."""
+    """Hash check, then the witness in the window, then the claim."""
     digest = transcript_digest(cert.kind, cert.family, cert.window,
                                cert.witness, cert.payload)
     if digest != cert.transcript_hash:
         return False, "transcript hash mismatch"
+    if not cert.window.contains_set(cert.witness):
+        return False, "witness leaves the window's ground"
     if cert.kind == "Homogeneous":
         return _verify_homogeneous(cert, coloring)
     if cert.kind.startswith("Dichotomy"):
@@ -270,5 +265,6 @@ def verify_certificate(cert: Certificate,
     if cert.kind == "Chain":
         return _verify_chain(cert)
     if cert.kind == "Transfer":
-        return _verify_transfer(cert)
+        from .search import recheck_transfer  # search imports this module
+        return recheck_transfer(cert)
     return False, f"unknown certificate kind {cert.kind!r}"

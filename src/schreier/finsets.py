@@ -8,6 +8,7 @@ enumeration and certificate checking are exhaustive.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from operator import lt
@@ -173,8 +174,9 @@ class Window:
         return x in self.ground
 
     def contains_set(self, s: FinSet) -> bool:
-        gs = set(self.ground)
-        return all(x in gs for x in s)
+        """Whether the ground holds every element of s, by bisection."""
+        g = self.ground
+        return all((i := bisect_left(g, x)) < len(g) and g[i] == x for x in s)
 
     def subsets(self) -> Iterator[FinSet]:
         """All subsets of the ground set in shortlex order (size, then lex)."""

@@ -274,7 +274,6 @@ def wainer_fundamental(a: Ordinal, n: int) -> Ordinal:
 _EXPANSION_LIMIT = 20_000
 
 
-@lru_cache(maxsize=None)
 def fundamental(x: Ordinal, n: int) -> Ordinal:
     """The n-th fundamental-sequence value of a limit ordinal x, n >= 1.
 

@@ -288,16 +288,11 @@ def rank_separation(xi1, xi2, window: Window,
     if not 1 <= target <= len(window.ground):
         raise ValueError("target outside the window")
 
-    # every level-xi1 member, at residual 0, must be a proper initial
-    # segment of a level-xi2 member
-    grow, root = _kept(FamilySpec("A", xi1))
-
-    def admit(partial, e, frontier):
-        grown, frontier = grow(frontier, e)
-        return all(_walk(xi2, t) is not ZERO
-                   for t, r in grown if r is ZERO), frontier
-
-    hit = _lex_first(window.ground, target, admit, root)
+    # homogenize's admit with the colour fixed at True: every level-xi1
+    # member must be a proper initial segment of a level-xi2 member
+    admit, (_, root) = _homogenize_admit(
+        FamilySpec("A", xi1), lambda t: _walk(xi2, t) is not ZERO)
+    hit = _lex_first(window.ground, target, admit, (True, root))
     if hit is None:
         return None
     L, _ = hit
@@ -526,6 +521,30 @@ def _spread_into(level: int, L: FinSet, H) -> Tuple[int, Optional[FinSet]]:
     return checked, None
 
 
+def _large_index_certificate(into_desc: str, sigma: Optional[Ordinal],
+                             level: int, window: Window,
+                             L: FinSet) -> Certificate:
+    """The large-index Transfer certificate for a found L.
+
+    Computes the route and the spread count on L, with target len(L).
+    Raises ValueError when a spread escapes the target predicate.
+    """
+    route = _transfer_route(level, sigma)
+    checked, escaped = _spread_into(level, L, hereditary_predicate(into_desc))
+    if escaped is not None:
+        raise ValueError(f"spread of {escaped} escapes the target predicate")
+    payload = {
+        "variant": "large-index",
+        "into": into_desc,
+        "sigma": "infinity" if sigma is None else format_ordinal(sigma),
+        "xi": str(level),
+        "route": route,
+        "target": len(L),
+        "spread_checked": checked,
+    }
+    return make_certificate("Transfer", f"B:{level}", window, L, payload)
+
+
 def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
                          window: Window,
                          target: int = 8) -> Optional[Certificate]:
@@ -542,8 +561,7 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     """
     level = _as_level(xi)
     H = hereditary_predicate(into_desc)
-    route = _transfer_route(level, sigma)
-    lift = route == "lift"
+    lift = _transfer_route(level, sigma) == "lift"
     pred = (lambda t: not t or H(t[1:])) if lift else H
     drop = 4 if lift else 2
     step, root = _every(FamilySpec("B", as_ordinal(level)), pred)
@@ -563,67 +581,39 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     hit = _lex_first(window.ground, size, _budgeted(admit), root)
     if hit is None:
         return None
-    L = hit[0][drop:]
-    payload = {
-        "variant": "large-index",
-        "into": into_desc,
-        "sigma": "infinity" if sigma is None else format_ordinal(sigma),
-        "xi": str(level),
-        "route": route,
-        "target": target,
-        "spread_checked": _spread_into(level, L, H)[0],
-    }
-    return make_certificate("Transfer", f"B:{level}", window, L, payload)
+    return _large_index_certificate(into_desc, sigma, level, window,
+                                    hit[0][drop:])
 
 
 def recheck_transfer(cert: Certificate):
-    """Independent semantic re-check for transfer certificates."""
+    """Rebuild a transfer certificate from its record with the search's
+    builder; the family, witness and every payload key must match.  The
+    assume_dense flag is rebuilt from its record, so any bool passes."""
     p = cert.payload_dict()
     variant = p.get("variant")
     try:
-        level = int(p.get("xi", "-1"))
-    except (TypeError, ValueError):
-        return False, "unreadable level"
-    if not 0 <= level <= 2:
-        return False, f"level {level} outside the checkable range"
-
-    if variant == "shift":
-        try:
-            data = _transfer_containments(level, cert.window)
-        except ValueError as e:
-            return False, str(e)
-        if not data["ok"]:
-            return False, data["reason"]
-        if data["L"] != cert.witness:
-            return False, "witness disagrees with the shifted ground set"
-        if (data["spread_checked"] != p.get("spread_checked")
-                or data["closure_checked"] != p.get("closure_checked")):
-            return False, "recorded check counts disagree"
-        return True, "ok"
-
-    if variant == "large-index":
-        try:
-            H = hereditary_predicate(p.get("into", ""))
-        except Exception as e:
-            return False, str(e)
-        sigma_text = p.get("sigma", "")
-        route = p.get("route")
-        try:
-            sigma = (None if sigma_text == "infinity"
-                     else parse_ordinal(sigma_text))
-        except Exception as e:
-            return False, f"unreadable symbolic index: {e}"
-        try:
-            expected = _transfer_route(level, sigma)
-        except ValueError as e:
-            return False, str(e)
-        if route != expected:
-            return False, f"route {route!r} disagrees with the index"
-        checked, escaped = _spread_into(level, cert.witness, H)
-        if escaped is not None:
-            return False, f"spread of {escaped} escapes the target predicate"
-        if checked != p.get("spread_checked"):
-            return False, "recorded check counts disagree"
-        return True, "ok"
-
-    return False, f"unknown transfer variant {variant!r}"
+        level = _as_level(int(str(p.get("xi"))))
+        if variant == "shift":
+            rebuilt = schreier_transfer(level, cert.window,
+                                        p.get("assume_dense"))
+        elif variant == "large-index":
+            sigma = str(p.get("sigma"))
+            rebuilt = _large_index_certificate(
+                p.get("into"),
+                None if sigma == "infinity" else parse_ordinal(sigma),
+                level, cert.window, cert.witness)
+        else:
+            return False, f"unknown transfer variant {variant!r}"
+    except (ValueError, RuntimeError) as e:
+        return False, str(e)
+    for key in ("family", "witness"):
+        if getattr(cert, key) != getattr(rebuilt, key):
+            return False, f"recorded {key} disagrees with the re-check"
+    want = rebuilt.payload_dict()
+    for key in sorted(want.keys() | p.keys()):
+        # typed: a recorded 8.0 or True is not the 8 or 1 the builder wrote
+        got, built = ((key in d, type(d.get(key)), d.get(key))
+                      for d in (p, want))
+        if got != built:
+            return False, f"recorded {key} disagrees with the re-check"
+    return True, "ok"

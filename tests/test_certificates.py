@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schreier import certificates, finsets
 from schreier.certificates import (
     CERT_KINDS,
     Certificate,
@@ -21,8 +22,10 @@ from schreier.certificates import (
 from schreier.colorings import Coloring, get_coloring, hash_coloring
 from schreier.families import FamilySpec, parse_family
 from schreier.finsets import Window
-from schreier.search import (detect_chain, homogenize, schreier_transfer,
-                             sperner_refine)
+from schreier.ordinals import parse_ordinal
+from schreier.search import (detect_chain, hereditary_dichotomy, homogenize,
+                             large_index_transfer, rank_separation,
+                             schreier_transfer, sperner_refine)
 
 
 def good_homogeneous():
@@ -471,3 +474,76 @@ def test_kind_catalogue():
     assert CERT_KINDS == ("Homogeneous", "DichotomyBranchA",
                           "DichotomyBranchB", "SpernerRefined", "Chain",
                           "Transfer")
+
+
+# -- the window check -------------------------------------------------
+
+
+def _dichotomy(branch):
+    hered, family = (("down:exL", "exR") if branch == "A"
+                     else ("down:F:1", "exL"))
+    [cert] = hereditary_dichotomy(hered, parse_family(family), Window(1, 12),
+                                  target=6)
+    assert cert.kind == f"DichotomyBranch{branch}"
+    return cert
+
+
+WINDOW_BASES = {
+    "Homogeneous": lambda: homogenize(
+        parse_family("A:2"), get_coloring("parity-sum"), Window(1, 8), 3),
+    "DichotomyBranchA": lambda: _dichotomy("A"),
+    "DichotomyBranchB": lambda: _dichotomy("B"),
+    "SpernerRefined": lambda: sperner_refine(parse_family("ex112"),
+                                             Window(1, 25), 6),
+    "Chain": lambda: detect_chain("down:A:3", Window(1, 12), 4),
+    "Transfer-shift": lambda: schreier_transfer(1, Window(1, 12)),
+    "Transfer-large-index": lambda: large_index_transfer(
+        "down:A:w*2", parse_ordinal("w*2+1"), 1, Window(1, 40)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_BASES))
+def test_witness_outside_the_window_rejected(name):
+    cert = WINDOW_BASES[name]()
+    assert verify_certificate(cert) == (True, "ok")
+    w = cert.window
+    ground = tuple(x for x in w.ground if x != cert.witness[-1])
+    forged = make_certificate(cert.kind, cert.family,
+                              Window(w.lo, w.hi, ground), cert.witness,
+                              cert.payload_dict())
+    assert verify_certificate(forged) == (
+        False, "witness leaves the window's ground")
+
+
+def test_window_check_builds_no_set(monkeypatch):
+    def no_set(*args):
+        raise AssertionError("the window check built a set")
+
+    wide = Window(1, 1 << 20)
+    thinned = Window(1, 1 << 20, (2, 4, 1 << 20))
+    cert = make_certificate("Chain", "all", wide, (1, 2), {
+        "hereditary": "all", "depth": 3, "chain": [[], [1], [1, 2]]})
+    monkeypatch.setattr(finsets, "set", no_set, raising=False)
+    assert wide.contains_set((1, 5, 1 << 20))
+    assert not thinned.contains_set((2, 3))
+    assert verify_certificate(cert) == (True, "ok")
+
+
+@settings(max_examples=200, deadline=None)
+@given(ground=st.sets(st.integers(1, 30), min_size=1),
+       s=st.sets(st.integers(1, 31), max_size=6))
+def test_window_check_matches_set_inclusion(ground, s):
+    w = Window(1, 30, tuple(ground))
+    assert w.contains_set(tuple(sorted(s))) == (s <= ground)
+
+
+def test_dichotomy_member_form_parsed_once(monkeypatch):
+    cert = rank_separation(parse_ordinal("w"), parse_ordinal("w^2"),
+                           Window(1, 20))
+    assert cert.payload_dict()["hereditary"] == "member:A:w"
+    parsed = []
+    real = certificates.parse_family
+    monkeypatch.setattr(certificates, "parse_family",
+                        lambda text: parsed.append(text) or real(text))
+    assert verify_certificate(cert) == (True, "ok")
+    assert parsed == ["A:w^2", "A:w"]

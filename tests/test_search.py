@@ -222,12 +222,12 @@ def test_separation_frontier_matches_subset_admit(pair, ground):
     xi1, xi2 = o(pair[0]), o(pair[1])
     admit, root = separation_admit(xi1, xi2)
     oracle = oracle_separation_admit(xi1, xi2)
-    kept, frontier = (), root
+    kept, frontier = (), root[1]
     for partial, e, (ok, want_ok), (state, _) in greedy_walk(
             admit, root, oracle, None, ground):
         assert ok == want_ok, (partial, e)
         if ok:
-            kept, frontier = partial + (e,), state
+            kept, frontier = partial + (e,), state[1]
     # the frontier holds each subset of the kept set alive at xi1 and not
     # a level-xi1 member, once, with its xi1 residual
     alive = [(s, residual_after(xi1, s)) for s in subsets_of(kept)]
@@ -857,6 +857,57 @@ def test_transfer_forged_witness_rejected():
                               good.witness[1:], good.payload_dict())
     ok, reason = recheck_transfer(forged)
     assert not ok and "witness" in reason
+
+
+def _resigned(cert, key, value):
+    """cert re-made with its family or one payload key set to value."""
+    if key == "family":
+        return make_certificate("Transfer", value, cert.window, cert.witness,
+                                cert.payload_dict())
+    return make_certificate("Transfer", cert.family, cert.window,
+                            cert.witness, dict(cert.payload, **{key: value}))
+
+
+TRANSFER_BASES = {
+    "shift": lambda: schreier_transfer(1, Window(1, 15)),
+    "large-index": lambda: large_index_transfer("down:A:w*2", o("w*2+1"), 1,
+                                                Window(1, 40)),
+}
+
+
+@pytest.mark.parametrize("variant, key, value, reason", [
+    ("shift", "family", "B:2", "recorded family disagrees"),
+    ("shift", "family", "A:7", "recorded family disagrees"),
+    ("shift", "dropped", [1, 3], "recorded dropped disagrees"),
+    ("shift", "closure_checked", 0, "recorded closure_checked disagrees"),
+    ("shift", "assume_dense", "yes", "recorded assume_dense disagrees"),
+    ("shift", "assume_dense", 0, "recorded assume_dense disagrees"),
+    ("shift", "xi", "3", "levels 0-2"),
+    ("shift", "xi", 1, "recorded xi disagrees"),
+    ("shift", "variant", "walked", "unknown transfer variant"),
+    ("large-index", "family", "B:2", "recorded family disagrees"),
+    ("large-index", "family", "A:7", "recorded family disagrees"),
+    ("large-index", "target", 7, "recorded target disagrees"),
+    ("large-index", "target", 8.0, "recorded target disagrees"),
+    ("large-index", "spread_checked", 1, "recorded spread_checked disagrees"),
+    ("large-index", "sigma", "w", "below the boundary"),
+    pytest.param("large-index", "sigma", "w^(" * 5000, "recursion",
+                 id="large-index-sigma-nested"),
+    ("large-index", "into", "down:A:2", "escapes the target predicate"),
+    ("large-index", "extra", None, "recorded extra disagrees"),
+])
+def test_transfer_recheck_rebuilds_every_field(variant, key, value, reason):
+    good = TRANSFER_BASES[variant]()
+    assert recheck_transfer(good) == (True, "ok")
+    ok, why = recheck_transfer(_resigned(good, key, value))
+    assert not ok and reason in why, why
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_transfer_density_flag_any_bool_passes(dense):
+    good = schreier_transfer(1, Window(1, 15))
+    assert verify_certificate(_resigned(good, "assume_dense", dense)) == (
+        True, "ok")
 
 
 def test_transfer_density_flag_recorded_not_checked():
