@@ -523,8 +523,8 @@ def _build_bases():
 
 
 def _forgeries(kind: str, doc) -> list:
-    """Tampered bodies, each provably invalid once re-signed: four per
-    kind (six for Transfer), then a window that leaves out the witness."""
+    """Tampered bodies, each provably invalid once re-signed: five or six
+    per kind, then a window that leaves out the witness."""
     w = doc["window"]
     ground = w.get("ground", range(w["lo"], w["hi"] + 1))
     return _kind_forgeries(kind, doc) + [_set_top(doc, "window", dict(
@@ -532,30 +532,32 @@ def _forgeries(kind: str, doc) -> list:
 
 
 def _kind_forgeries(kind: str, doc) -> list:
+    # the target off by one, or right but a float
+    n = len(doc["witness"])
+    sizes = [_set_payload(doc, "target", t) for t in (n + 1, float(n))]
     if kind == "Homogeneous":
         color = doc["payload"]["color"]
-        return [
+        return sizes + [
             _set_payload(doc, "color", 3 - color),
-            _set_payload(doc, "target", doc["payload"]["target"] + 1),
             _set_top(doc, "witness", doc["witness"][:-1]),
             _set_top(doc, "witness", _clash_element(doc["witness"], color)),
         ]
     if kind == "DichotomyBranchA":
-        return [
+        return sizes + [
             _set_payload(doc, "hereditary", "member:A:2"),
             _set_payload(doc, "hereditary", "member:F:1"),
             _set_payload(doc, "hereditary", "down:A:1"),
             _set_top(doc, "kind", "DichotomyBranchB"),
         ]
     if kind == "DichotomyBranchB":
-        return [
+        return sizes + [
             _set_payload(doc, "hereditary", "all"),
             _set_payload(doc, "hereditary", "member:exL"),
             _set_top(doc, "family", "exR"),
             _set_top(doc, "kind", "DichotomyBranchA"),
         ]
     if kind == "SpernerRefined":
-        return [
+        return sizes + [
             _set_top(doc, "witness", [1, 2, 3, 4, 5, 6]),
             _set_top(doc, "witness", [1, 2, 3, 4, 5, 6, 7]),
             _set_top(doc, "kind", "Chain"),
@@ -566,6 +568,7 @@ def _kind_forgeries(kind: str, doc) -> list:
         return [
             _set_payload(doc, "chain", chain[:1] + chain[2:]),
             _set_payload(doc, "depth", doc["payload"]["depth"] + 1),
+            _set_payload(doc, "depth", float(doc["payload"]["depth"])),
             _set_payload(doc, "chain", [chain[0], [2]] + chain[2:]),
             _set_top(doc, "witness", doc["witness"][:-1]),
         ]

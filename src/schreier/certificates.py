@@ -158,12 +158,9 @@ def _verify_homogeneous(cert: Certificate, coloring: Optional[Coloring]):
         members = enumerate_family(spec, Window(w[0], w[-1], w)) if w else []
     except ValueError as e:
         return False, str(e)
-    target = p.get("target")
     color = p.get("color")
     name = p.get("coloring", "")
     colors = p.get("colors", 2)
-    if len(cert.witness) != target:
-        return False, f"witness size {len(cert.witness)} != target {target}"
     # bool is an int subclass, so test the exact type
     if type(colors) is not int or colors < 1:
         return False, f"colors must be an integer >= 1, got {colors!r}"
@@ -232,7 +229,7 @@ def _verify_chain(cert: Certificate):
         links = [as_finset(s) for s in p.get("chain", ())]
     except (TypeError, ValueError) as e:
         return False, f"chain must be a list of sets: {e}"
-    if len(links) != p.get("depth"):
+    if type(p.get("depth")) is not int or p.get("depth") != len(links):
         return False, "chain length disagrees with recorded depth"
     if not links:
         return False, "empty chain"
@@ -249,13 +246,18 @@ def _verify_chain(cert: Certificate):
 
 def verify_certificate(cert: Certificate,
                        coloring: Optional[Coloring] = None) -> Tuple[bool, str]:
-    """Hash check, then the witness in the window, then the claim."""
+    """Hash check, then the witness's window and size, then the claim."""
     digest = transcript_digest(cert.kind, cert.family, cert.window,
                                cert.witness, cert.payload)
     if digest != cert.transcript_hash:
         return False, "transcript hash mismatch"
     if not cert.window.contains_set(cert.witness):
         return False, "witness leaves the window's ground"
+    # bool is an int subclass, so test the exact type
+    target = cert.payload_dict().get("target")
+    if cert.kind not in ("Chain", "Transfer") and (
+            type(target) is not int or target != len(cert.witness)):
+        return False, f"witness size {len(cert.witness)} != target {target!r}"
     if cert.kind == "Homogeneous":
         return _verify_homogeneous(cert, coloring)
     if cert.kind.startswith("Dichotomy"):

@@ -83,18 +83,16 @@ def _run_member(args) -> Result:
     return (OK if m else NEGATIVE), out, ["true" if m else "false"]
 
 
+def _listing(spec, win: Window, sets, **at) -> Result:
+    out = {"family": spec.literal(), **at, "window": win.describe(),
+           "count": len(sets), "members": [list(s) for s in sets]}
+    return OK, out, [format_finset(s) for s in sets] or ["(none)"]
+
+
 def _run_enum(args) -> Result:
     spec = parse_family(args.family)
     win = _window(args)
-    sets = enumerate_family(spec, win)
-    out = {
-        "family": spec.literal(),
-        "window": win.describe(),
-        "count": len(sets),
-        "members": [list(s) for s in sets],
-    }
-    lines = [format_finset(s) for s in sets] or ["(none)"]
-    return OK, out, lines
+    return _listing(spec, win, enumerate_family(spec, win))
 
 
 def _run_section(args) -> Result:
@@ -105,16 +103,7 @@ def _run_section(args) -> Result:
         # the at point may sit below the window holding the section sets
         ground = tuple(sorted(set(win.ground) | {args.at}))
         probe = Window(min(win.lo, args.at), win.hi, ground)
-    sets = section(spec, args.at, probe)
-    out = {
-        "family": spec.literal(),
-        "at": args.at,
-        "window": win.describe(),
-        "count": len(sets),
-        "members": [list(s) for s in sets],
-    }
-    lines = [format_finset(s) for s in sets] or ["(none)"]
-    return OK, out, lines
+    return _listing(spec, win, section(spec, args.at, probe), at=args.at)
 
 
 def _run_canon(args) -> Result:

@@ -17,8 +17,9 @@ family of sets with |s| = min s.
 
 Membership predicates use the infinite ground line: a star test asks for an
 extension somewhere in the naturals, not merely inside a window.  Windowed
-enumeration is exhaustive over the window's ground set: a prefix walk
-pruned by the star test, except that a custom kind with no star test
+enumeration is exhaustive over the window's ground set: a prefix walk,
+pruned by the count rows, the union step or the star test, lists it level
+by level in shortlex order, except that a custom kind with no star test
 filters every subset; closures computed on a window only count witnesses
 inside the window (documented on the operations).
 """
@@ -359,13 +360,11 @@ def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
     if xi is not None:
         _cap(len(window.ground))
         # every node the walk keeps lies below a member inside the window
-        return sorted([EMPTY] + list(_system_walk(xi, window.ground)),
-                      key=len)
-    seen = {EMPTY: None}
-    for s in enumerate_family(spec, window):
-        for k in range(1, len(s) + 1):
-            seen.setdefault(s[:k], None)
-    return sorted(seen, key=shortlex_key)
+        return [EMPTY,
+                *_level_walk(window.ground, *_system_step(xi, window.ground),
+                             ZERO)]
+    return sorted({s[:k] for s in enumerate_family(spec, window)
+                   for k in range(len(s) + 1)} | {EMPTY}, key=shortlex_key)
 
 
 def check_thin(spec: FamilySpec, window: Window):
@@ -410,11 +409,34 @@ def _cap(n: int):
 
 # -- prefix walks ------------------------------------------------------
 #
-# Both hierarchies are listed by one depth-first walk of the prefix tree
-# over a ground list, whose frames carry a state.  Preorder on that tree
-# is lex order, and a stable sort by size turns it into shortlex.
+# Both hierarchies walk the prefix tree over a ground list, whose nodes
+# carry a state, by one step protocol.  A listing walks it level by level,
+# children in ground order, so it comes out in shortlex order unsorted.
 
 _END = object()
+
+
+def _level_walk(ground: Sequence[int], root, step, closed, only_closed=False):
+    """_lex_walk's nodes, or with only_closed its closed ones, shortlex."""
+    kids = [(k, x, (x,)) for k, x in enumerate(ground)]
+    out = []
+    level = [] if root is closed else [(EMPTY, root, 0)]
+    while level:
+        below = []
+        for s, state, j in level:
+            for k, x, one in kids[j:]:
+                c = step(state, x, k)
+                if c is None:
+                    continue
+                if c is _END:
+                    break
+                t = s + one
+                if c is closed or not only_closed:
+                    out.append(t)
+                if c is not closed:
+                    below.append((t, c, k + 1))
+        level = below
+    return out
 
 
 def _lex_walk(ground: Sequence[int], root, step, closed) -> Iterator[FinSet]:
@@ -424,23 +446,24 @@ def _lex_walk(ground: Sequence[int], root, step, closed) -> Iterator[FinSet]:
     of s in that state.  It returns None to drop that child and everything
     under it, and _END to drop its later siblings too.  A node whose state
     is `closed` is yielded but not expanded; neither is a closed root.
+    Only the two streams, _kept_sets and iter_union_schreier, walk depth
+    first: they hold O(depth) memory and stop at the lex-first failure, where
+    a level of a 25-element `all` witness holds C(25,12) = 5,200,300 sets.
     """
-    n = len(ground)
-    singles = [(x,) for x in ground]
-    stack = [] if root is closed else [(EMPTY, root, iter(range(n)))]
+    kids = [(k, x, (x,)) for k, x in enumerate(ground)]
+    stack = [] if root is closed else [(EMPTY, root, iter(kids))]
     while stack:
         s, state, ks = stack[-1]
-        for k in ks:
-            t = s + singles[k]
-            c = step(state, ground[k], k)
+        for k, x, one in ks:
+            c = step(state, x, k)
             if c is None:
                 continue
             if c is _END:
                 stack.pop()
                 break
-            yield t
+            yield (t := s + one)
             if c is not closed:
-                stack.append((t, c, iter(range(k + 1, n))))
+                stack.append((t, c, iter(kids[k + 1:])))
                 break
         else:
             stack.pop()
@@ -505,17 +528,15 @@ def _member_counts(xi: Ordinal, ground: Sequence[int], j: int = 0):
     return rows, lo
 
 
-def _system_walk(xi: Ordinal, ground: Sequence[int]) -> Iterator[FinSet]:
-    """The nonempty initial segments of the members of the system family
-    at xi inside the ground list, in lex order.
+def _system_step(xi: Ordinal, ground: Sequence[int]):
+    """Root state and step of the walk over the nonempty initial segments
+    of the members of the system family at xi inside the ground list.
 
-    A node's state is its residual and that residual's count row.  A child
-    is entered only when the row gives it members, row[k] - row[k + 1];
-    then it costs one descend.  States reached only in dead cells have no
-    row.
-    """
+    A node's state is its residual and count row, ZERO at a member.  A
+    child is entered only when the row gives it members, row[k] - row[k + 1],
+    and then costs one descend."""
     if xi is ZERO:
-        return iter(())
+        return ZERO, None
     rows, _ = _member_counts(xi, ground)
 
     def step(state, x, k):
@@ -527,7 +548,7 @@ def _system_walk(xi: Ordinal, ground: Sequence[int]) -> Iterator[FinSet]:
             d = descend(r, x)
         return d if d is ZERO else (d, rows[d])
 
-    return _lex_walk(ground, (xi, rows[xi]), step, ZERO)
+    return (xi, rows[xi]), step
 
 
 def _kept_sets(keep: Callable[[FinSet], bool], ground: Sequence[int],
@@ -556,19 +577,15 @@ def _members(spec: FamilySpec, ground: Sequence[int],
         r = residual_after(xi, head)
         if r is None or r is ZERO:
             return [] if r is None else [EMPTY]
-        # nodes lie below members, so a member is one no longer node follows
-        nodes = list(_system_walk(r, ground))
-        found = [t for t, u in zip(nodes, nodes[1:] + [EMPTY])
-                 if len(u) <= len(t)]
-    elif spec.kind == "F" and not head:
-        a = as_ordinal(spec.ordinal)
-        found = _lex_walk(ground, *_union_step(a, ground), False)
-    elif spec.kind == "custom" and spec.star_predicate is None:
+        return _level_walk(ground, *_system_step(r, ground), ZERO, True)
+    if spec.kind == "F" and not head:
+        return _level_walk(ground, *_union_step(spec.ordinal, ground), False)
+    if spec.kind == "custom" and spec.star_predicate is None:
         return [t for t in subsets_of(ground) if spec.member(head + t)]
-    else:
-        found = [t for t in _kept_sets(spec.star, ground, head)
-                 if spec.member(head + t)]
-    return sorted(found, key=len)
+    keep = spec.star  # prefix-closed: nothing is kept below a dropped head
+    kept = _level_walk(
+        ground, head, lambda s, x, k: t if keep(t := s + (x,)) else None, None)
+    return [t for t in [EMPTY, *kept] if spec.member(head + t)]
 
 
 # Prefix closure (see the union hierarchy above): no union member lies
@@ -590,7 +607,7 @@ def _union_test(a: Ordinal) -> Callable[[FinSet], bool]:
     return lambda s: _greedy_covers(a, s, {})
 
 
-def _union_step(a: Ordinal, ground: Sequence[int]):
+def _union_step(a, ground: Sequence[int]):
     """Root state and step of the level-a walk over ground.
 
     step(u, x, k) is the state of s + (x,), x = ground[k], for a member s
@@ -598,7 +615,7 @@ def _union_step(a: Ordinal, ground: Sequence[int]):
     2 read x alone, from the state t[0] - len(t) or (t[0] - parts, part end
     - len(t)) for the greedy parts, None at the root; above, it is the set.
     """
-    n = len(ground)
+    a, n = as_ordinal(a), len(ground)
     if a == 1:
         return None, lambda b, x, k: k + 1 < n and (x if b is None else b) - 1 or False
     if a == 2:
@@ -614,11 +631,10 @@ def _union_step(a: Ordinal, ground: Sequence[int]):
 
 def enumerate_union_schreier(a, window: Window) -> List[FinSet]:
     """All union-hierarchy members at level a inside the window, shortlex."""
-    return sorted(iter_union_schreier(a, window), key=len)
+    return _level_walk(window.ground, *_union_step(a, window.ground), False)
 
 
 def iter_union_schreier(a, window: Window) -> Iterator[FinSet]:
     """Stream the level-a members inside the window in lex order, each once."""
     # singletons, the root's children, are members at every level
-    root, step = _union_step(as_ordinal(a), window.ground)
-    return _lex_walk(window.ground, root, step, False)
+    return _lex_walk(window.ground, *_union_step(a, window.ground), False)

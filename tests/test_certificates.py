@@ -70,6 +70,36 @@ def test_wrong_target_rejected():
     assert not ok and "target" in reason
 
 
+def _counted_certificates():
+    parity = get_coloring("parity-sum")
+    return {
+        "branch-B": hereditary_dichotomy("down:F:1", parse_family("exL"),
+                                         Window(1, 30), target=8)[0],
+        "sperner": sperner_refine(parse_family("ex112"), Window(1, 25), 6),
+        "homogeneous": homogenize(parse_family("A:2"), parity,
+                                  Window(1, 20), 4),
+        "singleton": homogenize(parse_family("A:2"), parity,
+                                Window(1, 20), 1),
+        "chain": detect_chain("down:A:3", Window(1, 12), 4),
+    }
+
+
+@pytest.mark.parametrize("name,key,forged", [
+    ("branch-B", "target", 3), ("branch-B", "target", 9),
+    ("sperner", "target", 2), ("sperner", "target", 6.0),
+    ("homogeneous", "target", 4.0), ("singleton", "target", True),
+    ("chain", "depth", 4.0), ("chain", "depth", "4")])
+def test_recorded_count_must_be_the_integer_size(name, key, forged):
+    # bool and float counts compare equal to ints, so the type is checked
+    cert = _counted_certificates()[name]
+    assert verify_certificate(cert) == (True, "ok")
+    payload = cert.payload_dict()
+    forgery = make_certificate(cert.kind, cert.family, cert.window,
+                               cert.witness, dict(payload, **{key: forged}))
+    ok, reason = verify_certificate(forgery)
+    assert not ok and key in reason, reason
+
+
 def test_external_coloring_needs_oracle():
     cert = make_certificate(
         "Homogeneous", "A:2", Window(1, 10), (2, 4, 6, 8),

@@ -1,0 +1,177 @@
+"""The level walk against the listings it replaced.
+
+``enumerate_family``, ``section``, ``star_closure`` and
+``enumerate_union_schreier`` walk the prefix tree level by level.  Two
+oracles hold them to their answers: the depth-first walk over the same
+step sorted by size, as the listings ran before, and the filter that
+tests every subset of the ground list.  The union levels get a third
+oracle that reads no union step: F:a is the star of B:a without the
+empty set.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import schreier.families as families
+from schreier.families import (FamilySpec, _kept_sets, _lex_walk,
+                               _system_step, _union_step, enumerate_family,
+                               enumerate_union_schreier, iter_union_schreier,
+                               parse_family, residual_after, section,
+                               star_closure, uniform_star,
+                               union_schreier_member)
+from schreier.finsets import EMPTY, Window, shortlex_key, subsets_of
+from schreier.ordinals import ZERO, omega_power, parse_ordinal
+
+
+def _odd_triple(s):
+    return len(s) == 3 and sum(s) % 2 == 1
+
+
+ODD_TRIPLE = FamilySpec("custom", predicate=_odd_triple,
+                        star_predicate=lambda s: len(s) < 3 or _odd_triple(s),
+                        name="odd-triple")
+
+SYSTEM = [f"{k}:{a}" for k in "AB" for a in ("2", "w", "w+1", "w*2", "w^2")]
+UNION = [f"F:{a}" for a in ("0", "1", "2", "3", "w", "w^2")]
+PANEL = [parse_family(t) for t in SYSTEM + UNION + ["exL", "exR", "ex112"]]
+PANEL.append(ODD_TRIPLE)
+
+
+# -- oracles ------------------------------------------------------------
+
+
+def depth_first(spec, ground, head=EMPTY):
+    """The listing as the depth-first walk gave it: lex, sorted by size."""
+    xi = spec.system_ordinal()
+    if xi is not None:
+        r = residual_after(xi, head)
+        if r is None or r is ZERO:
+            return [] if r is None else [EMPTY]
+        found = [t for t in _lex_walk(ground, *_system_step(r, ground), ZERO)
+                 if residual_after(r, t) is ZERO]
+    elif spec.kind == "F" and not head:
+        found = _lex_walk(ground, *_union_step(spec.ordinal, ground), False)
+    else:
+        found = [t for t in _kept_sets(spec.star, ground, head)
+                 if spec.member(head + t)]
+    return sorted(found, key=len)
+
+
+def filtered(spec, ground, head=EMPTY):
+    """Every t over ground, shortlex, with head + t a member."""
+    return [t for t in subsets_of(ground) if spec.member(head + t)]
+
+
+def shortlex_once(sets):
+    return (sets == sorted(sets, key=shortlex_key)
+            and len(set(sets)) == len(sets))
+
+
+def check(spec, ground, head, got):
+    assert shortlex_once(got), (spec, ground, head)
+    assert got == depth_first(spec, ground, head), (spec, ground, head)
+    assert got == filtered(spec, ground, head), (spec, ground, head)
+
+
+# -- the listings --------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", PANEL, ids=str)
+@settings(max_examples=10, deadline=None)
+@given(ground=st.sets(st.integers(1, 16), min_size=1, max_size=10))
+def test_thinned_listing_and_sections_match_both_oracles(spec, ground):
+    g = tuple(sorted(ground))
+    w = Window(g[0], g[-1], g)
+    check(spec, g, EMPTY, enumerate_family(spec, w))
+    for m in g[:3]:
+        check(spec, w.tail(m), (m,), section(spec, m, w))
+    if len(g) > 2:  # a two-element head
+        check(spec, g[2:], g[:2], families._members(spec, g[2:], g[:2]))
+
+
+@pytest.mark.parametrize("spec,hi", [
+    *((s, 12) for s in PANEL), (parse_family("F:w^w"), 9)], ids=str)
+def test_window_listing_matches_both_oracles(spec, hi):
+    w = Window(1, hi)
+    check(spec, w.ground, EMPTY, enumerate_family(spec, w))
+    check(spec, w.tail(2), (2,), section(spec, 2, w))
+
+
+@pytest.mark.parametrize("text", SYSTEM + ["A:0", "A:3"])
+@pytest.mark.parametrize("w", [Window(1, 13), Window(2, 17, (2, 3, 5, 6, 8, 9,
+                                                             11, 13, 16, 17))],
+                         ids=["interval", "thinned"])
+def test_system_star_closure_matches_both_oracles(text, w):
+    spec = parse_family(text)
+    got = star_closure(spec, w)
+    assert shortlex_once(got)
+    xi = spec.system_ordinal()
+    walked = [] if xi is ZERO else list(
+        _lex_walk(w.ground, *_system_step(xi, w.ground), ZERO))
+    assert got == [EMPTY] + sorted(walked, key=len)
+    prefixes = {s[:k] for s in filtered(spec, w.ground)
+                for k in range(len(s) + 1)}
+    assert got == sorted(prefixes | {EMPTY}, key=shortlex_key)
+
+
+# -- the union levels ----------------------------------------------------
+
+
+@pytest.mark.parametrize("level,hi,calls", [(1, 18, 6764), (2, 14, 6717)])
+def test_union_listing_makes_one_step_call_per_member(monkeypatch, level, hi,
+                                                      calls):
+    made = []
+    real = families._union_step
+
+    def counting(a, ground):
+        root, step = real(a, ground)
+        return root, lambda *args: made.append(None) or step(*args)
+
+    monkeypatch.setattr(families, "_union_step", counting)
+    w = Window(1, hi)
+    got = enumerate_union_schreier(level, w)
+    assert len(made) == len(got) == calls
+    assert shortlex_once(got)
+    made.clear()
+    stream = list(iter_union_schreier(level, w))  # the depth-first walk
+    assert len(made) == calls
+    assert got == sorted(stream, key=len)
+
+
+IDENTITY_LEVELS = ["0", "1", "2", "3", "4", "w", "w+1", "w+2", "w*2", "w^2"]
+
+
+@pytest.mark.parametrize("a_text", IDENTITY_LEVELS)
+def test_union_level_is_the_star_of_b_without_empty(a_text):
+    # F:a = star(B:a) \ {EMPTY}: every nonempty subset of [1,12], then 300
+    # random sets from [1,60] per level, 3,000 in all
+    a = parse_ordinal(a_text)
+    b = omega_power(a)
+    for s in subsets_of(range(1, 13), include_empty=False):
+        assert union_schreier_member(a, s) == uniform_star(b, s), s
+    rng = random.Random(f"union-star:{a_text}")
+    for _ in range(300):
+        s = tuple(sorted(rng.sample(range(1, 61), rng.randint(1, 12))))
+        assert union_schreier_member(a, s) == uniform_star(b, s), s
+
+
+@pytest.mark.parametrize("a_text", IDENTITY_LEVELS)
+@pytest.mark.parametrize("w", [Window(1, 13), Window(2, 17, (2, 3, 5, 6, 8, 9,
+                                                             11, 13, 16, 17))],
+                         ids=["interval", "thinned"])
+def test_union_listing_is_the_star_of_b(a_text, w):
+    b = omega_power(parse_ordinal(a_text))
+    assert enumerate_union_schreier(parse_ordinal(a_text), w) == [
+        s for s in subsets_of(w.ground, include_empty=False)
+        if uniform_star(b, s)]
+
+
+def test_star_of_b_passes_the_expansion_limit_at_w_to_the_w():
+    # the identity cannot replace the union greedy: at B:w^w the residual
+    # walk's first descent at 6 runs past the normal-form limit
+    a = parse_ordinal("w^w")
+    assert union_schreier_member(a, (6, 7))
+    with pytest.raises(ValueError, match="20000 terms"):
+        uniform_star(omega_power(a), (6, 7))

@@ -163,7 +163,8 @@ def _fixed():
 
 
 def _mutants(cert):
-    """The certificate re-made on every witness one element away."""
+    """The certificate re-made on every witness one element away, each
+    with its own size as the target."""
     w, lo, hi = cert.witness, cert.window.lo, cert.window.hi
     near = {w[:i] + w[i + 1:] for i in range(len(w))}
     near |= {tuple(sorted(w + (x,))) for x in range(lo, hi + 1)
@@ -171,7 +172,8 @@ def _mutants(cert):
     near |= {tuple(sorted(w[:i] + (w[i] + 1,) + w[i + 1:]))
              for i in range(len(w)) if w[i] + 1 not in w}
     return [make_certificate(cert.kind, cert.family, cert.window, v,
-                             cert.payload_dict()) for v in sorted(near)]
+                             dict(cert.payload_dict(), target=len(v)))
+            for v in sorted(near)]
 
 
 def test_dichotomy_verifier_matches_subset_oracle():
