@@ -5,10 +5,12 @@ outcome under a transcript hash.  Verification recomputes the hash first
 (any mutation is rejected before semantics are consulted), then requires
 the witness inside the window's ground, then re-checks the claim.  The
 Homogeneous and Sperner checks list the family's members inside the
-witness with enumerate_family, and the Dichotomy check walks the subsets a
-prefix-closed test keeps; these three refuse a witness over families._cap's
-25 elements before listing any set.  A Transfer certificate is rebuilt
-from its record by the builder the search uses and must match it.
+witness with enumerate_family, and the Dichotomy check grows the searches'
+frontier, families._kept, over the witness; these three refuse a witness
+over families._cap's 25 elements before listing any set, and the frontier
+refuses past families._MAX_KEPT kept subsets, as the search would.  A
+Transfer certificate is rebuilt from its record by the builder the search
+uses and must match it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .colorings import Coloring, get_coloring, hash_coloring
-from .families import (_cap, _down_test, _kept_sets, check_sperner,
+from .families import (FamilySpec, _cap, _down_test, _kept, check_sperner,
                        enumerate_family, parse_family)
-from .finsets import FinSet, Window, as_finset
+from .finsets import EMPTY, FinSet, Window, as_finset
+from .ordinals import ZERO
 
 CERT_KINDS = (
     "Homogeneous",
@@ -188,21 +191,37 @@ def _verify_dichotomy(cert: Certificate):
     try:
         _cap(len(cert.witness))
         spec = parse_family(cert.family)
-        # A keeps by the subset closure; B by the predicate, or by a
-        # (thin) member: form's star test, parsed once with its test
+        # A keeps by the family, whose star test is its subset closure; B
+        # by the predicate, or by a (thin) member: form's family, parsed
+        # once with its test.  A kept A:/B: set carries its residual.
         if isinstance(desc, str) and desc.startswith("member:"):
-            named = parse_family(desc[len("member:"):])
-            hered, star = named.member, named.star
+            keep = parse_family(desc[len("member:"):])
+            hered = keep.member
         else:  # CertificateError is a ValueError
-            hered = star = hereditary_predicate(desc)
-        keep = _down_test(spec) if branch == "A" else star
+            hered = keep = hereditary_predicate(desc)
+        if branch == "A":
+            _down_test(spec)  # ex112 has no subset closure
+            keep = spec
+        grow, frontier = _kept(keep)
+
+        def kept_sets(frontier):
+            # the empty set, when kept (a star test keeps it), then the
+            # sets each element grows
+            if isinstance(keep, FamilySpec) or keep(EMPTY):
+                yield EMPTY, None
+            for x in cert.witness:
+                grown, frontier = grow(frontier, x)
+                yield from grown
+
+        for t, r in kept_sets(frontier):
+            if branch == "A" and not hered(t):
+                return False, f"{t} is in the subset closure but outside the target"
+            # a member: form's residual is 0 exactly at its members
+            if (branch == "B" and (hered(t) if r is None else r is ZERO)
+                    and not (spec.star(t) and not spec.member(t))):
+                return False, f"{t} is not a proper initial segment of a member"
     except ValueError as e:
         return False, str(e)
-    for t in _kept_sets(keep, cert.witness):
-        if branch == "A" and not hered(t):
-            return False, f"{t} is in the subset closure but outside the target"
-        if branch == "B" and hered(t) and not (spec.star(t) and not spec.member(t)):
-            return False, f"{t} is not a proper initial segment of a member"
     return True, "ok"
 
 

@@ -21,13 +21,15 @@ enumeration is exhaustive over the window's ground set: a prefix walk,
 pruned by the count rows, the union step or the star test, lists it level
 by level in shortlex order, except that a custom kind with no star test
 filters every subset; closures computed on a window only count witnesses
-inside the window (documented on the operations).
+inside the window (documented on the operations).  The searches and the
+containment checks instead grow one frontier of kept subsets an element
+at a time (_kept), bounded at _MAX_KEPT entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from .finsets import (EMPTY, FinSet, Window, mask_of, shortlex_key,
                       subsets_of)
@@ -58,7 +60,6 @@ __all__ = [
     "check_thin",
     "check_sperner",
     "enumerate_union_schreier",
-    "iter_union_schreier",
 ]
 
 
@@ -363,6 +364,8 @@ def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
         return [EMPTY,
                 *_level_walk(window.ground, *_system_step(xi, window.ground),
                              ZERO)]
+    if spec.kind == "F":  # a union level is prefix-closed
+        return [EMPTY, *enumerate_family(spec, window)]
     return sorted({s[:k] for s in enumerate_family(spec, window)
                    for k in range(len(s) + 1)} | {EMPTY}, key=shortlex_key)
 
@@ -417,7 +420,14 @@ _END = object()
 
 
 def _level_walk(ground: Sequence[int], root, step, closed, only_closed=False):
-    """_lex_walk's nodes, or with only_closed its closed ones, shortlex."""
+    """Every node below the root that step keeps, or with only_closed its
+    closed ones, in shortlex order.
+
+    step(state, x, k) gives the state of s + (x,), x = ground[k], a child
+    of s in that state.  It returns None to drop that child and everything
+    under it, and _END to drop its later siblings too.  A node whose state
+    is `closed` is listed but not expanded; neither is a closed root.
+    """
     kids = [(k, x, (x,)) for k, x in enumerate(ground)]
     out = []
     level = [] if root is closed else [(EMPTY, root, 0)]
@@ -437,36 +447,6 @@ def _level_walk(ground: Sequence[int], root, step, closed, only_closed=False):
                     below.append((t, c, k + 1))
         level = below
     return out
-
-
-def _lex_walk(ground: Sequence[int], root, step, closed) -> Iterator[FinSet]:
-    """Every node below the root that step keeps, in lex order.
-
-    step(state, x, k) gives the state of s + (x,), x = ground[k], a child
-    of s in that state.  It returns None to drop that child and everything
-    under it, and _END to drop its later siblings too.  A node whose state
-    is `closed` is yielded but not expanded; neither is a closed root.
-    Only the two streams, _kept_sets and iter_union_schreier, walk depth
-    first: they hold O(depth) memory and stop at the lex-first failure, where
-    a level of a 25-element `all` witness holds C(25,12) = 5,200,300 sets.
-    """
-    kids = [(k, x, (x,)) for k, x in enumerate(ground)]
-    stack = [] if root is closed else [(EMPTY, root, iter(kids))]
-    while stack:
-        s, state, ks = stack[-1]
-        for k, x, one in ks:
-            c = step(state, x, k)
-            if c is None:
-                continue
-            if c is _END:
-                stack.pop()
-                break
-            yield (t := s + one)
-            if c is not closed:
-                stack.append((t, c, iter(kids[k + 1:])))
-                break
-        else:
-            stack.pop()
 
 
 def _member_counts(xi: Ordinal, ground: Sequence[int], j: int = 0):
@@ -551,17 +531,41 @@ def _system_step(xi: Ordinal, ground: Sequence[int]):
     return (xi, rows[xi]), step
 
 
-def _kept_sets(keep: Callable[[FinSet], bool], ground: Sequence[int],
-               head: FinSet = EMPTY) -> Iterator[FinSet]:
-    """The sets t over the ground list with keep(head + t), in lex order.
+# frontier entries a search or a containment check may hold
+_MAX_KEPT = 1 << 20
 
-    keep is prefix-closed, so a set it drops is pruned with its subtree.
+
+def _kept(keep):
+    """The frontier of the subsets of the partial set that keep keeps.
+
+    keep is a FamilySpec, kept by its star test, or a predicate, and
+    keeps every nonempty prefix of a set it keeps.  A frontier lists
+    (s, r), in the order met, for the empty set and each kept subset s,
+    but not for a member of a system family, which has no kept child;
+    grow(frontier, e) returns the kept s + (e,) with their r, and the
+    frontier after e.  For a system family r is the residual of s, so a
+    child costs one descend, and a member is at 0; otherwise r is None.
+    Folded over a ground list, the grown sets are each kept nonempty set
+    once.  grow raises ValueError rather than hold over _MAX_KEPT entries.
     """
-    if keep(head):
-        yield EMPTY
-        yield from _lex_walk(
-            ground, head, lambda s, x, k: t if keep(t := s + (x,)) else None,
-            None)
+    xi = keep.system_ordinal() if isinstance(keep, FamilySpec) else None
+    test = keep.star if isinstance(keep, FamilySpec) else keep
+
+    def grow(frontier, e):
+        if xi is None:
+            grown = kept = [(t, None) for s, _ in frontier
+                            if test(t := s + (e,))]
+        else:
+            # descend's memo read inline, as in _walk; no ordinal is falsy
+            grown = [(s + (e,), r._next.get(e) or descend(r, e))
+                     for s, r in frontier]
+            kept = [g for g in grown if g[1] is not ZERO]
+        if len(frontier) + len(kept) > _MAX_KEPT:
+            raise ValueError(f"more than {_MAX_KEPT} kept subsets")
+        return grown, frontier + kept
+
+    return grow, ([(EMPTY, None)] if xi is None else
+                  [] if xi is ZERO else [(EMPTY, xi)])
 
 
 def _members(spec: FamilySpec, ground: Sequence[int],
@@ -632,9 +636,3 @@ def _union_step(a, ground: Sequence[int]):
 def enumerate_union_schreier(a, window: Window) -> List[FinSet]:
     """All union-hierarchy members at level a inside the window, shortlex."""
     return _level_walk(window.ground, *_union_step(a, window.ground), False)
-
-
-def iter_union_schreier(a, window: Window) -> Iterator[FinSet]:
-    """Stream the level-a members inside the window in lex order, each once."""
-    # singletons, the root's children, are members at every level
-    return _lex_walk(window.ground, *_union_step(a, window.ground), False)

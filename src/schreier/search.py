@@ -5,7 +5,9 @@ ground sets.  Everything here works inside a finite window instead and
 emits a certificate whose claim is re-checkable by direct enumeration;
 an exhausted window is reported as a negative, never as a disproof.
 Candidates extend in lexicographic-increasing order throughout, so runs
-are reproducible without any seed plumbing.
+are reproducible without any seed plumbing.  A search whose frontier of
+kept subsets (families._kept) would pass families._MAX_KEPT entries
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from .colorings import Coloring
 from .families import (
     FamilySpec,
     _down_test,
+    _kept,
     _member_counts,
     _union_step,
-    iter_union_schreier,
     parse_family,
 )
 from .finsets import EMPTY, FinSet, Window, spread
@@ -29,7 +31,6 @@ from .ordinals import (
     ZERO,
     Ordinal,
     _walk,
-    add,
     as_ordinal,
     compare,
     descend,
@@ -37,6 +38,7 @@ from .ordinals import (
     omega_power,
     parse_ordinal,
 )
+from .rank import index_compare
 
 
 def _probe_hereditary(desc: str) -> None:
@@ -233,34 +235,6 @@ def _budgeted(admit):
     calls = count(1)
     return lambda p, e, state: (admit(p, e, state) if next(calls) <= _MAX_ADMITS
                                 else (False, state))
-
-
-def _kept(keep):
-    """The frontier of the subsets of the partial set that keep keeps.
-
-    keep is a FamilySpec, kept by its star test, or a predicate, and
-    keeps every nonempty prefix of a set it keeps.  A frontier lists
-    (s, r), in the order met, for the empty set and each kept subset s,
-    but not for a member of a system family, which has no kept child;
-    grow(frontier, e) returns the kept s + (e,) with their r, and the
-    frontier after e.  For a system family r is the residual of s, so a
-    child costs one descend, and a member is at 0; otherwise r is None.
-    """
-    xi = keep.system_ordinal() if isinstance(keep, FamilySpec) else None
-    if xi is None:
-        test = keep.star if isinstance(keep, FamilySpec) else keep
-
-        def grow(frontier, e):
-            grown = [(t, None) for s, _ in frontier if test(t := s + (e,))]
-            return grown, frontier + grown
-        return grow, [(EMPTY, None)]
-
-    def grow(frontier, e):
-        # descend's memo read inline, as in _walk; no ordinal is falsy
-        grown = [(s + (e,), r._next.get(e) or descend(r, e))
-                 for s, r in frontier]
-        return grown, frontier + [g for g in grown if g[1] is not ZERO]
-    return grow, [] if xi is ZERO else [(EMPTY, xi)]
 
 
 def _every(keep, ok):
@@ -502,22 +476,27 @@ def _transfer_route(level: int, sigma: Optional[Ordinal]) -> str:
     """
     if sigma is None:
         return "direct"
-    c = compare(as_ordinal(sigma), add(omega_power(as_ordinal(level)), ONE))
-    if c < 0:
+    branch = index_compare(sigma, omega_power(as_ordinal(level)))
+    if branch == "SecondBranch":
         raise ValueError("symbolic index below the boundary value")
-    return "direct" if c > 0 else "lift"
+    return "lift" if branch == "Boundary" else "direct"
 
 
 def _spread_into(level: int, L: FinSet, H) -> Tuple[int, Optional[FinSet]]:
-    """Spread each level member onto L and test it with H, in lex order.
+    """Spread each level member onto L and test it with H.
 
+    The members are the sets _kept grows over the positions 1..|L| by the
+    star test of B:level, since F:a is star(B:a) without the empty set.
     Returns the number that passed and the first that failed, or None.
     """
+    grow, frontier = _kept(FamilySpec("B", as_ordinal(level)))
     checked = 0
-    for s in iter_union_schreier(as_ordinal(level), Window(1, len(L))):
-        if not H(spread(s, L)):
-            return checked, s
-        checked += 1
+    for e in range(1, len(L) + 1):
+        grown, frontier = grow(frontier, e)
+        for s, _ in grown:
+            if not H(spread(s, L)):
+                return checked, s
+            checked += 1
     return checked, None
 
 

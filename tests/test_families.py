@@ -20,7 +20,6 @@ from schreier.families import (
     check_thin,
     enumerate_family,
     enumerate_union_schreier,
-    iter_union_schreier,
     parse_family,
     section,
     star_closure,
@@ -250,13 +249,6 @@ def test_union_enumeration_matches_filter(a_text, w):
         key=lambda s: (len(s), s),
     )
     assert got == expect
-    stream = list(iter_union_schreier(a, w))
-    assert stream == sorted(set(stream))  # lex order, each member once
-
-
-def test_union_stream_no_duplicates():
-    out = list(iter_union_schreier(2, Window(1, 12)))
-    assert len(out) == len(set(out))
 
 
 @pytest.mark.parametrize("a_text",

@@ -19,7 +19,7 @@ import schreier.finsets as finsets
 from schreier.certificates import (hereditary_predicate, make_certificate,
                                    verify_certificate)
 from schreier.cli import main
-from schreier.families import (FamilySpec, _down_test, _kept_sets,
+from schreier.families import (FamilySpec, _down_test, _kept,
                                enumerate_family, parse_family, section)
 from schreier.finsets import EMPTY, Window, subsets_of
 from schreier.ordinals import parse_ordinal
@@ -85,11 +85,18 @@ def test_listing_matches_subset_filter(spec, ground):
        ground=st.sets(st.integers(1, 14), max_size=10),
        head=st.sampled_from([EMPTY, (1,), (2,), (1, 3)]))
 def test_kept_sets_is_the_filtered_star(spec, ground, head):
+    # the frontier folded over head + g grows each kept set once; those
+    # that start with head are the star sets above it
     g = tuple(x for x in sorted(ground) if not head or x > head[-1])
-    got = list(_kept_sets(spec.star, g, head))
-    assert got == sorted(got)  # lex order
-    assert sorted(got, key=len) == [t for t in subsets_of(g)
-                                    if spec.star(head + t)]
+    grow, frontier = _kept(spec)
+    got = [EMPTY] if spec.star(EMPTY) else []
+    for x in head + g:
+        grown, frontier = grow(frontier, x)
+        got += [t for t, _ in grown]
+    assert len(set(got)) == len(got)
+    n = len(head)
+    assert {t[n:] for t in got if t[:n] == head} == {
+        t for t in subsets_of(g) if spec.star(head + t)}
 
 
 @pytest.mark.parametrize("text", ["F:1", "exL", "exR", "ex112"])
@@ -193,15 +200,21 @@ def test_dichotomy_verifier_matches_subset_oracle():
 
 def test_dichotomy_verifier_lists_only_the_subset_closure(monkeypatch):
     # 20 elements: the subset filter made 2^20 = 1,048,576 closure tests,
-    # while A:2's closure holds 211 sets there
+    # while A:2's closure holds 211 sets there; the frontier grows each of
+    # them once
     calls = []
-    real = certificates._down_test
+    real = certificates._kept
 
-    def counting(spec):
-        test = real(spec)
-        return lambda t: calls.append(t) or test(t)
+    def counting(keep):
+        grow, root = real(keep)
 
-    monkeypatch.setattr(certificates, "_down_test", counting)
+        def counted(frontier, e):
+            grown, frontier = grow(frontier, e)
+            calls.extend(grown)
+            return grown, frontier
+        return counted, root
+
+    monkeypatch.setattr(certificates, "_kept", counting)
     cert = make_certificate("DichotomyBranchA", "A:2", Window(21, 40),
                             tuple(range(21, 41)),
                             {"hereditary": "all", "branch": "A",

@@ -679,13 +679,14 @@ def test_transfer_thinned_ground_pinned(level, spread_n, closure_n, digest):
 
 def test_transfer_spread_escape_is_lex_first(monkeypatch):
     import schreier.search as S
-    from schreier.families import iter_union_schreier, uniform_star
+    from schreier.families import enumerate_union_schreier, uniform_star
 
     small = o("w")  # below w^2, so level-2 spreads leave its star closure
     monkeypatch.setattr(S, "omega_power", lambda a: small)
     w = Window(1, 12)
     L = w.ground[2:]
-    first = next(s for s in iter_union_schreier(2, Window(1, len(L)))
+    members = sorted(enumerate_union_schreier(2, Window(1, len(L))))  # lex
+    first = next(s for s in members
                  if not uniform_star(small, tuple(L[i - 1] for i in s)))
     assert S._transfer_containments(2, w) == {
         "ok": False, "reason": f"spread of {first} lands outside the star closure"}
@@ -936,6 +937,24 @@ def test_large_index_kept_subsets_carry_residuals(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_spread_fold_meets_each_level_member_once(level):
+    # the B:level frontier folded over the positions grows exactly the
+    # F:level members (F:a = star(B:a) without the empty set)
+    from schreier.families import enumerate_union_schreier
+    L = (3, 5, 6, 8, 9, 10, 12, 13, 15, 16, 18, 20)
+    members = enumerate_union_schreier(level, Window(1, len(L)))
+    seen = []
+    assert search._spread_into(level, L, lambda t: seen.append(t) or True) == (
+        len(members), None)
+    assert sorted(seen) == sorted(tuple(L[i - 1] for i in s) for s in members)
+    # a predicate refusing spreads of three or more stops at such a member
+    checked, escaped = search._spread_into(level, L, lambda t: len(t) < 3)
+    assert (escaped is None) == all(len(s) < 3 for s in members)
+    if escaped is not None:
+        assert escaped in members and len(escaped) == 3 and checked < len(members)
+
+
 def test_large_index_boundary_lift():
     cert = large_index_transfer("down:B:1", o("w+1"), 1, Window(1, 30))
     assert cert is not None
@@ -994,3 +1013,36 @@ def test_large_index_route_forgery_rejected():
                               good.witness, p)
     ok, reason = recheck_transfer(forged)
     assert not ok and "route" in reason
+
+
+# -- the frontier bound ------------------------------------------------
+#
+# A frontier refuses to hold more than families._MAX_KEPT kept subsets, so
+# a search or a re-check that would need more raises or is refused instead
+# of exhausting memory.  The bound is lowered here so the refusals come
+# fast; every subset of a 13-element set is an A:40 star set, 2^13 > 4096.
+
+
+@pytest.fixture
+def small_frontier(monkeypatch):
+    monkeypatch.setattr(families, "_MAX_KEPT", 4096)
+
+
+def test_searches_refuse_past_the_frontier_bound(small_frontier):
+    spec, w = parse_family("A:40"), Window(1, 40)
+    with pytest.raises(ValueError, match="more than 4096 kept subsets"):
+        homogenize(spec, get_coloring("parity-sum"), w, 13)
+    with pytest.raises(ValueError, match="more than 4096 kept subsets"):
+        hereditary_dichotomy("all", spec, w, target=13)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_forged_large_index_transfer_refused_at_the_bound(small_frontier,
+                                                          level):
+    # the spread side of 5..64 folds every F:level member over 60 positions
+    forged = make_certificate(
+        "Transfer", f"B:{level}", Window(1, 70), tuple(range(5, 65)),
+        {"variant": "large-index", "into": "all", "sigma": "infinity",
+         "xi": str(level), "route": "direct", "target": 60,
+         "spread_checked": 0})
+    assert verify_certificate(forged) == (False, "more than 4096 kept subsets")
