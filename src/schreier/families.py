@@ -9,6 +9,9 @@ Three constructions live here.
 * The union-built hierarchy ("F"): level 0 is the singletons; level a+1
   collects unions of at most min-many consecutive level-a blocks; at limits a
   set belongs iff it belongs to some approximant level a_n with n <= min.
+  A natural level a is the star of the system family at omega**a without
+  the empty set, so it walks that residual; a greedy block decomposition
+  decides the infinite levels.
 * Named one-off families used as fixtures: two size-vs-minimum families and
   a mixed-section family built from system families.
 
@@ -101,13 +104,13 @@ def uniform_star(xi, s: FinSet) -> bool:
 # n <= min of the whole set.  Limit a: member of some approximant a_n with
 # n <= min.  Nonempty initial segments of members are members (cutting the
 # last block leaves a smaller block at the same level), so from any start
-# the feasible block lengths form a contiguous range and a longest-block
-# greedy decomposition decides membership.
+# the feasible block lengths form a contiguous range and, at infinite
+# levels, a longest-block greedy decomposition decides membership.  A
+# natural level a is star(B:a) without the empty set (_resolve).
 
 
 def union_schreier_member(a, s: FinSet) -> bool:
-    a = as_ordinal(a)
-    return bool(s) and _union_test(a)(s)
+    return FamilySpec("F", a)._member(s)
 
 
 def _greedy_covers(a: Ordinal, s: FinSet, cache) -> bool:
@@ -236,11 +239,14 @@ def _resolve(spec: FamilySpec):
         if spec.ordinal is None:
             raise ValueError(f"kind {kind} needs an ordinal")
         a = as_ordinal(spec.ordinal)
-        if kind == "F":
+        if kind == "F" and not a.is_natural:
             # nonempty initial segments of members are members
-            test = _union_test(a)
-            return (lambda s: bool(s) and test(s)), (lambda s: not s or test(s))
+            return (lambda s: bool(s) and _greedy_covers(a, s, {}),
+                    lambda s: not s or _greedy_covers(a, s, {}))
         root = a if kind == "A" else omega_power(a)
+        if kind == "F":  # a natural level is star(B:a) without the empty set
+            return (lambda s: bool(s) and residual_after(root, s) is not None,
+                    lambda s: residual_after(root, s) is not None)
         return (lambda s: residual_after(root, s) is ZERO,
                 lambda s: residual_after(root, s) is not None)
     if kind in _NAMED_KINDS:
@@ -294,33 +300,24 @@ def parse_family(text: str) -> FamilySpec:
 # -- subset closure ---------------------------------------------------
 
 
-def _schreier_star_parts(t: FinSet, pos: int = 0) -> int:
-    """Minimal number of parts of t[pos:], each with |part| <= its own minimum.
-
-    Greedy longest-part is optimal: from position i the feasible part
-    lengths are exactly 1..min(t[i], rest), a contiguous range.
-    """
-    parts = 0
-    while pos < len(t):
-        pos += t[pos]
-        parts += 1
-    return parts
-
-
 def _down_test(spec: FamilySpec) -> Callable[[FinSet], bool]:
     """The family's subset-closure test: its star test, picked once.
 
-    The initial-segment closures of exL, exR and F are subset-closed by
-    their closed forms.  A system family's (A and B) star sets are the
-    sets the residual walk does not strand (r admits t when the walk from
-    r over t never descends 0), and skipping an element never strands it:
-    if r admits (x,) + t with x < t[0], r admits t.  By induction on r.
-    A successor's step does not read the element.  At a limit lam, lam[x]
-    admits t, hence t[1:] by induction, and lam[t[0]] descends to lam[x]
-    through steps at indices <= t[0]; each step can be put before t[1:]
-    and dropped again by induction, so lam[t[0]] admits t[1:].  Dropping
-    elements one at a time, every subset of an initial segment of a member
-    is one.  ``test_down_closed_form_vs_witness_search`` and
+    The initial-segment closures of exL and exR are subset-closed by
+    their closed forms.  A union level (F) is its own closure less the
+    empty set, and hereditary: by induction on the level, a subset's
+    nonempty traces on a member's blocks are blocks, no more of them, and
+    its minimum is no smaller.  A system family's (A and B) star sets are
+    the sets the residual walk does not strand (r admits t when the walk
+    from r over t never descends 0), and skipping an element never
+    strands it: if r admits (x,) + t with x < t[0], r admits t.  By
+    induction on r.  A successor's step does not read the element.  At a
+    limit lam, lam[x] admits t, hence t[1:] by induction, and lam[t[0]]
+    descends to lam[x] through steps at indices <= t[0]; each step can be
+    put before t[1:] and dropped again by induction, so lam[t[0]] admits
+    t[1:].  Dropping elements one at a time, every subset of an initial
+    segment of a member is one.
+    ``test_down_closed_form_vs_witness_search`` and
     ``test_system_star_is_hereditary`` in tests/test_families.py check
     this against the witness search and on the subsets of [1,16].
 
@@ -602,22 +599,14 @@ def _members(spec: FamilySpec, ground: Sequence[int],
 # prefix, on its first child, decides all of its children.
 
 
-def _union_test(a: Ordinal) -> Callable[[FinSet], bool]:
-    """union_schreier_member at level a on nonempty sets, dispatched once."""
-    if a == 1:
-        return lambda s: len(s) <= s[0]
-    if a == 2:
-        return lambda s: _schreier_star_parts(s) <= s[0]
-    return lambda s: _greedy_covers(a, s, {})
-
-
 def _union_step(a, ground: Sequence[int]):
     """Root state and step of the level-a walk over ground.
 
     step(u, x, k) is the state of s + (x,), x = ground[k], for a member s
     in state u, and False when its children are not members.  Levels 1 and
     2 read x alone, from the state t[0] - len(t) or (t[0] - parts, part end
-    - len(t)) for the greedy parts, None at the root; above, it is the set.
+    - len(t)) for the greedy parts, None at the root; elsewhere it is the
+    set, and the step asks the level's test from _resolve.
     """
     a, n = as_ordinal(a), len(ground)
     if a == 1:
@@ -628,7 +617,7 @@ def _union_step(a, ground: Sequence[int]):
             u = (b, r - 1) if r else (b - 1, x - 1)
             return u if k + 1 < n and u != (0, 0) else False
         return None, step
-    member = _union_test(a)
+    member = FamilySpec("F", a)._star  # on nonempty sets, the member test
     return EMPTY, lambda s, x, k: (k + 1 < n and member(s + (x, ground[k + 1]))
                                    and s + (x,) or False)
 

@@ -1,9 +1,8 @@
 """Family membership, stars, closures, sections, enumeration.
 
 The load-bearing oracles here are independent of the library's greedy
-paths: an all-decompositions recursion for the union hierarchy, a
-free-insertion walk for subset-closure witnesses, and a minimal-partition
-DP for the bounded-parts count.
+paths: an all-decompositions recursion for the union hierarchy and a
+free-insertion walk for subset-closure witnesses.
 """
 
 import time
@@ -27,7 +26,6 @@ from schreier.families import (
     uniform_star,
     union_schreier_member,
     _down_test,
-    _schreier_star_parts,
 )
 from schreier.finsets import EMPTY, Window
 from schreier.ordinals import (
@@ -106,19 +104,6 @@ def has_member_superset(xi, t) -> bool:
         return False
 
     return go(0, 0, xi)
-
-
-# -- independent oracle: minimal bounded-part partition count --
-
-
-def brute_min_parts(t):
-    @lru_cache(maxsize=None)
-    def best(i):
-        if i == len(t):
-            return 0
-        return 1 + min(best(j) for j in range(i + 1, min(i + t[i], len(t)) + 1))
-
-    return best(0)
 
 
 # -- system family membership ----------------------------------------
@@ -351,12 +336,6 @@ def test_base_index_families():
 
 
 # -- subset closure ---------------------------------------------------
-
-
-def test_min_parts_greedy_vs_brute():
-    for s in subsets_of(10):
-        if s:
-            assert _schreier_star_parts(s) == brute_min_parts(s)
 
 
 @pytest.mark.parametrize(

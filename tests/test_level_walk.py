@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schreier.families as families
-from schreier.families import (FamilySpec, _kept, enumerate_family,
+from schreier.cli import main
+from schreier.families import (FamilySpec, _greedy_covers, _kept,
+                               enumerate_family,
                                enumerate_union_schreier, parse_family,
                                section, star_closure, uniform_star,
                                union_schreier_member)
@@ -127,21 +129,24 @@ def test_union_listing_makes_one_step_call_per_member(monkeypatch, level, hi,
     assert shortlex_once(got)
 
 
-IDENTITY_LEVELS = ["0", "1", "2", "3", "4", "w", "w+1", "w+2", "w*2", "w^2"]
+IDENTITY_LEVELS = ["0", "1", "2", "3", "4", "5", "6", "w", "w+1", "w+2", "w*2",
+                   "w^2"]
 
 
 @pytest.mark.parametrize("a_text", IDENTITY_LEVELS)
 def test_union_level_is_the_star_of_b_without_empty(a_text):
-    # F:a = star(B:a) \ {EMPTY}: every nonempty subset of [1,12], then 300
-    # random sets from [1,60] per level, 3,000 in all
+    # F:a = star(B:a) \ {EMPTY}, with the union level read by the block
+    # greedy, since union_schreier_member walks B:a's residual at natural
+    # levels: every nonempty subset of [1,12], then 300 random sets from
+    # [1,60] per level
     a = parse_ordinal(a_text)
     b = omega_power(a)
     for s in subsets_of(range(1, 13), include_empty=False):
-        assert union_schreier_member(a, s) == uniform_star(b, s), s
+        assert _greedy_covers(a, s, {}) == uniform_star(b, s), s
     rng = random.Random(f"union-star:{a_text}")
     for _ in range(300):
         s = tuple(sorted(rng.sample(range(1, 61), rng.randint(1, 12))))
-        assert union_schreier_member(a, s) == uniform_star(b, s), s
+        assert _greedy_covers(a, s, {}) == uniform_star(b, s), s
 
 
 @pytest.mark.parametrize("a_text", IDENTITY_LEVELS)
@@ -162,3 +167,14 @@ def test_star_of_b_passes_the_expansion_limit_at_w_to_the_w():
     assert union_schreier_member(a, (6, 7))
     with pytest.raises(ValueError, match="20000 terms"):
         uniform_star(omega_power(a), (6, 7))
+
+
+def test_high_natural_level_answers_by_the_residual(capsys):
+    # the block greedy recursed once per level: F:1200 raised RecursionError
+    assert parse_family("F:1200").member((5, 6, 7, 8))
+    assert main(["member", "--family", "F:1200", "--set", "{5,6,7,8}"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    with pytest.raises(ValueError, match="20000 terms"):
+        parse_family("F:30000").member((5, 6, 7, 8))
+    assert main(["member", "--family", "F:30000", "--set", "{5,6,7,8}"]) == 2
+    assert capsys.readouterr().err.startswith("error:")

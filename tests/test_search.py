@@ -11,10 +11,9 @@ from schreier import families, search
 from schreier.certificates import (hereditary_predicate, make_certificate,
                                   verify_certificate)
 from schreier.colorings import get_coloring, hash_coloring
-from schreier.families import (FamilySpec, _down_test, parse_family,
-                               residual_after,
-                               union_schreier_member,
-                               uniform_member, uniform_star)
+from schreier.families import (FamilySpec, _down_test, _greedy_covers,
+                               parse_family, residual_after, uniform_member,
+                               uniform_star)
 from schreier.finsets import Window, check_hereditary, subsets_of
 from schreier.ordinals import (ONE, ZERO, add, compare, descend, from_int,
                                omega_power, parse_ordinal)
@@ -708,7 +707,8 @@ def test_transfer_closure_escape_is_lex_first(monkeypatch):
 # The per-node walk that the product count replaced, kept as its oracle.
 # It visits every spread set and every witnessed prefix in lex order, tests
 # each with the definitional member and star tests, and reports the first
-# that escapes.
+# that escapes.  Union membership is the block greedy, not the residual of
+# B:level, which the spread side walks.
 
 
 def _lex_nodes(elements, keep, s=()):
@@ -725,8 +725,11 @@ def walked_transfer(level, window, xi):
     ground = window.ground
     L = ground[2:]
     spread_checked = 0
-    for s in _lex_nodes(tuple(range(1, len(L) + 1)),
-                        lambda s: union_schreier_member(level, s)):
+
+    def member(s):
+        return _greedy_covers(from_int(level), s, {})
+
+    for s in _lex_nodes(tuple(range(1, len(L) + 1)), member):
         if not uniform_star(xi, tuple(L[i - 1] for i in s)):
             return {"ok": False,
                     "reason": f"spread of {s} lands outside the star closure"}
@@ -748,7 +751,7 @@ def walked_transfer(level, window, xi):
 
     closure_checked = 0
     for p in _lex_nodes(ground, witnessed):
-        if not union_schreier_member(level, p):
+        if not member(p):
             return {"ok": False, "reason": f"prefix {p} escapes the union level"}
         closure_checked += 1
     return {"ok": True, "spread_checked": spread_checked,
@@ -927,11 +930,13 @@ def test_large_index_direct_route():
 
 def test_large_index_kept_subsets_carry_residuals(monkeypatch):
     # the B:2 keep grows each kept subset by one descend, so no star test
-    # walks from the root
+    # walks from its root, w^2; the down:F:1 predicate walks from w
     calls = []
     real = families.residual_after
+    root = omega_power(2)
     monkeypatch.setattr(families, "residual_after",
-                        lambda xi, s: calls.append(s) or real(xi, s))
+                        lambda xi, s: (xi == root and calls.append(s))
+                        or real(xi, s))
     cert = large_index_transfer("down:F:1", o("w^2+5"), 2, Window(1, 24), 5)
     assert cert.witness == (7, 8, 9, 10, 11)
     assert calls == []
