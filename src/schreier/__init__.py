@@ -2,6 +2,11 @@
 
 Membership and rank computations, canonical decompositions, window
 enumeration, and certified Ramsey-style searches over finite windows.
+
+Only the bitmask engine (``MaskFamily``, ``masks_to_sets``, ``sort_masks``)
+and the acceptance suite (``run_all``, ``run_one``) need numpy.  They load
+on first use, so ``import schreier`` and every other name here never
+import it.
 """
 
 from .ordinals import (
@@ -58,7 +63,6 @@ from .rank import (
     brute_derivative,
     index_compare,
 )
-from .masks import MaskFamily, masks_to_sets, sort_masks
 from .colorings import (
     Coloring,
     ColoringProtocolError,
@@ -86,9 +90,36 @@ from .search import (
     large_index_transfer,
     recheck_transfer,
 )
-from .acceptance import run_all, run_one
 
 __version__ = "0.1.0"
+
+# name -> submodule that defines it; the submodules are served too
+_DEFERRED = {
+    "MaskFamily": "masks",
+    "masks_to_sets": "masks",
+    "sort_masks": "masks",
+    "run_all": "acceptance",
+    "run_one": "acceptance",
+    "masks": "masks",
+    "acceptance": "acceptance",
+}
+
+
+def __getattr__(name):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_DEFERRED))
 
 __all__ = [
     "Ordinal",

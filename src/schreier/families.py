@@ -114,53 +114,64 @@ def union_schreier_member(a, s: FinSet) -> bool:
 
 
 def _greedy_covers(a: Ordinal, s: FinSet, cache) -> bool:
-    """Whole of s splits into at most s[0] greedy level-(a-1) blocks."""
-    if a.is_zero:
-        return len(s) == 1
-    if a.is_limit:
-        return any(
-            _greedy_covers(wainer_fundamental(a, n), s, cache) for n in range(1, s[0] + 1)
-        )
-    b = predecessor(a)
-    pos = 0
-    blocks = 0
-    while pos < len(s):
-        if blocks == s[0]:
-            return False
-        pos += _longest_block(b, s, pos, cache)
-        blocks += 1
-    return True
+    """Whole of s splits into at most s[0] greedy level-(a-1) blocks.
+
+    At a limit a: into the blocks of some approximant a_n with n <= s[0].
+    Either way, the longest level-a prefix of s is all of s.
+    """
+    return _longest_block(a, s, 0, cache) == len(s)
 
 
 def _longest_block(b: Ordinal, s: FinSet, i: int, cache) -> int:
     """Length of the longest prefix of s[i:] that is a level-b member.
 
-    Always >= 1: singletons belong to every level.
+    Always >= 1: singletons belong to every level.  Each (level, position)
+    key is solved once into cache; a key waits for its sub-blocks on an
+    explicit stack, so a long run of successor levels does not recurse.
     """
-    key = (b, i)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    out = cache.get((b, i))
+    if out is not None:
+        return out
+    stack = [((b, i), _block_steps(b, s, i))]
+    while stack:
+        key, steps = stack[-1]
+        try:
+            need = steps.send(out)
+        except StopIteration as done:
+            stack.pop()
+            out = cache[key] = done.value
+            continue
+        # a level-0 block is a singleton: answer it without a frame
+        out = 1 if need[0].is_zero else cache.get(need)
+        if out is None:
+            stack.append((need, _block_steps(need[0], s, need[1])))
+    return out
+
+
+def _block_steps(b: Ordinal, s: FinSet, i: int):
+    """The longest level-b block at s[i], as a coroutine for _longest_block.
+
+    Yields the (level, position) key of each sub-block it needs, is sent
+    that block's length, and returns its own length.
+    """
     if b.is_zero:
-        out = 1
-    elif b.is_limit:
+        return 1
+    if b.is_limit:
         # the longest over the approximants n <= s[i]; none can pass the
         # end of s, so stop at the first that reaches it
         out = 0
         for n in range(1, s[i] + 1):
-            out = max(out, _longest_block(wainer_fundamental(b, n), s, i, cache))
+            out = max(out, (yield wainer_fundamental(b, n), i))
             if out == len(s) - i:
                 break
-    else:
-        c = predecessor(b)
-        pos = i
-        for _ in range(s[i]):  # at most s[i] sub-blocks fit the budget
-            if pos >= len(s):
-                break
-            pos += _longest_block(c, s, pos, cache)
-        out = min(pos, len(s)) - i
-    cache[key] = out
-    return out
+        return out
+    c = predecessor(b)
+    pos = i
+    for _ in range(s[i]):  # at most s[i] sub-blocks fit the budget
+        if pos >= len(s):
+            break
+        pos += yield c, pos
+    return min(pos, len(s)) - i
 
 
 # -- family literals --------------------------------------------------

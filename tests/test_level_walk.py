@@ -17,12 +17,14 @@ from hypothesis import given, settings, strategies as st
 import schreier.families as families
 from schreier.cli import main
 from schreier.families import (FamilySpec, _greedy_covers, _kept,
-                               enumerate_family,
+                               _longest_block, enumerate_family,
                                enumerate_union_schreier, parse_family,
                                section, star_closure, uniform_star,
                                union_schreier_member)
-from schreier.finsets import EMPTY, Window, shortlex_key, subsets_of
-from schreier.ordinals import omega_power, parse_ordinal
+from schreier.finsets import (EMPTY, Window, format_finset, shortlex_key,
+                              subsets_of)
+from schreier.ordinals import (omega_power, parse_ordinal, predecessor,
+                               wainer_fundamental)
 
 
 def _odd_triple(s):
@@ -178,3 +180,76 @@ def test_high_natural_level_answers_by_the_residual(capsys):
         parse_family("F:30000").member((5, 6, 7, 8))
     assert main(["member", "--family", "F:30000", "--set", "{5,6,7,8}"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# -- the block greedy against its recursive form ------------------------
+
+
+def recursive_covers(a, s, cache):
+    """The union greedy as it recursed once per level: the oracle."""
+    if a.is_zero:
+        return len(s) == 1
+    if a.is_limit:
+        return any(recursive_covers(wainer_fundamental(a, n), s, cache)
+                   for n in range(1, s[0] + 1))
+    b = predecessor(a)
+    pos = blocks = 0
+    while pos < len(s):
+        if blocks == s[0]:
+            return False
+        pos += recursive_block(b, s, pos, cache)
+        blocks += 1
+    return True
+
+
+def recursive_block(b, s, i, cache):
+    key = (b, i)
+    if key in cache:
+        return cache[key]
+    if b.is_zero:
+        out = 1
+    elif b.is_limit:
+        out = 0
+        for n in range(1, s[i] + 1):
+            out = max(out, recursive_block(wainer_fundamental(b, n), s, i,
+                                           cache))
+            if out == len(s) - i:
+                break
+    else:
+        c = predecessor(b)
+        pos = i
+        for _ in range(s[i]):
+            if pos >= len(s):
+                break
+            pos += recursive_block(c, s, pos, cache)
+        out = min(pos, len(s)) - i
+    cache[key] = out
+    return out
+
+
+@pytest.mark.parametrize("a_text", ["w", "w+1", "w+2", "w+5", "w*2+1",
+                                    "w^2+3"])
+def test_stacked_greedy_matches_the_recursive_greedy(a_text):
+    # 300 random sets from [1,39] per level: the whole-set answer and the
+    # longest block at every position, one cache shared along each set
+    a = parse_ordinal(a_text)
+    rng = random.Random(f"stacked-greedy:{a_text}")
+    for _ in range(300):
+        s = tuple(sorted(rng.sample(range(1, 40), rng.randint(1, 12))))
+        assert _greedy_covers(a, s, {}) == recursive_covers(a, s, {}), s
+        cache, oracle = {}, {}
+        for i in range(len(s)):
+            assert (_longest_block(a, s, i, cache)
+                    == recursive_block(a, s, i, oracle)), (s, i)
+
+
+def test_long_successor_run_does_not_recurse(capsys):
+    # the greedy recursed once per successor step: F:w+1200 raised
+    # RecursionError through the API, and both CLI verbs printed a traceback
+    a = parse_ordinal("w+1200")
+    assert union_schreier_member(a, (5, 6, 7, 8))
+    assert main(["member", "--family", "F:w+1200", "--set", "{5,6,7,8}"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    assert main(["enum", "--family", "F:w+1200", "--window", "1..6"]) == 0
+    assert capsys.readouterr().out.split() == [
+        format_finset(s) for s in enumerate_union_schreier(a, Window(1, 6))]
