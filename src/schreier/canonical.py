@@ -9,7 +9,6 @@ any set is a member, so the first member prefix found is the only choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import length_hint
 from typing import List, Optional, Tuple
 
 from .families import FamilySpec, check_sperner
@@ -69,11 +68,8 @@ def _first_block(spec: FamilySpec, A: FinSet) -> int:
     """
     xi = spec.system_ordinal()
     if xi is not None and not xi.is_zero:
-        rest = iter(A)
-        if _walk(xi, rest) is not ZERO:
-            return 0
-        # a tuple iterator's length hint is exact: the elements left unread
-        return len(A) - length_hint(rest)
+        r, k = _walk(xi, A)
+        return k if r is ZERO else 0
     hits = [k for k in range(1, len(A) + 1) if spec.member(A[:k])]
     if len(hits) > 1:
         raise FamilyContractError(

@@ -73,13 +73,17 @@ def residual_after(xi: Ordinal, s: Iterable[int]) -> Optional[Ordinal]:
     """Residual ordinal after consuming s left to right; None if stuck.
 
     Stuck means some element had to descend a zero residual, i.e. s passed
-    a member boundary and is not an initial segment of any member.
+    a member boundary and is not an initial segment of any member.  A
+    one-shot iterable is read at most one element past that boundary.
     """
-    rest = iter(s)
-    r = _walk(as_ordinal(xi), rest)
-    if r is ZERO:
-        for _ in rest:
+    r = as_ordinal(xi)
+    if isinstance(s, (tuple, list)):
+        r, i = _walk(r, s)
+        return r if i == len(s) else None
+    for n in s:
+        if r is ZERO:
             return None
+        r, _ = _walk(r, (n,))
     return r
 
 

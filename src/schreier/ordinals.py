@@ -14,9 +14,12 @@ for exponent positions this module uses the Wainer-style assignment (see
 Ordinals are hash-consed: equal ordinals are one object, so equality is
 identity, and :func:`descend` memoizes each step on the node it leaves, a
 lazily filled transition table shared by every walk.  The whole-set walk
-kernel :func:`_walk`, under membership, star, the residual, the canonical
-decomposition, trichotomy and the symbolic rank, reads that memo inline and
-calls :func:`descend` only on a miss.
+kernel :func:`_walk` sits under membership, star, the residual, the
+canonical decomposition, trichotomy and the symbolic rank.  It rests on one
+invariant of the system: a successor g + c, with g zero or a limit, reaches
+g after any c more elements, whatever they are.  So the kernel jumps each
+such run in one step, and limits are the only steps that read an element;
+there it reads :func:`descend`'s memo inline and calls it only on a miss.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class Ordinal:
     :func:`parse_ordinal`) rather than building term lists by hand.
     """
 
-    __slots__ = ("terms", "_hash", "_next")
+    __slots__ = ("terms", "_hash", "_next", "_run")
 
     def __new__(cls, terms: Tuple[Tuple["Ordinal", int], ...] = ()):
         terms = tuple(terms)
@@ -84,6 +87,7 @@ class Ordinal:
         else:
             x._hash = hash(tuple((hash(e), c) for e, c in terms))
         x._next = {}  # descend's memo: entry n -> next residual
+        x._run = None  # _walk's split, filled on first use by _split
         # setdefault keeps one object when two threads miss together
         return _INTERNED.setdefault(terms, x)
 
@@ -302,7 +306,14 @@ def fundamental(x: Ordinal, n: int) -> Ordinal:
         acc.append((e, p - 1))
     # invariant: x == Ordinal(acc) + w**e, with e >= 1 strictly decreasing
     while True:
-        if len(acc) > _EXPANSION_LIMIT:
+        # for n > 1 every term of e still owes acc terms: c for a natural
+        # part c, at least n for each copy of an infinite one; the last is
+        # appended after the check.  So a climbing exponent is refused as
+        # soon as its share runs past the limit, and the check raises
+        # exactly when counting acc alone would, only sooner.
+        owed = 1 if n == 1 else sum(c if b is ZERO else c * n
+                                    for b, c in e.terms)
+        if len(acc) + owed - 1 > _EXPANSION_LIMIT:
             raise ValueError(
                 f"normal form of the value at {n} runs past "
                 f"{_EXPANSION_LIMIT} terms; use a smaller index"
@@ -337,22 +348,49 @@ def descend(x: Ordinal, n: int) -> Ordinal:
     return nxt
 
 
-def _walk(r: Ordinal, elements) -> Ordinal:
-    """Descend r by the elements in turn, stopping at the first 0.
+def _split(x: Ordinal):
+    """Fill x's run split (c, g, drops) with x == g + c, g zero or a limit.
 
-    Each step reads :func:`descend`'s memo on the node directly and calls
-    it only on a miss.  Elements after the one that reaches 0 are left
-    unread, so a caller passing an iterator can tell what remains.  A zero
+    c is 0 at a limit.  drops memoizes the partial runs of a successor:
+    g + k for the k < c still owed when a set ends inside the run.
+    """
+    exp, c = x.terms[-1]
+    if exp is ZERO:
+        x._run = (c, Ordinal(x.terms[:-1]), {})
+    else:
+        x._run = (0, None, None)
+    return x._run
+
+
+def _walk(r: Ordinal, s, i: int = 0) -> Tuple[Ordinal, int]:
+    """Descend r by s[i:] in turn, stopping at the first 0; return (r, i).
+
+    The returned i is the index after the last element consumed: len(s)
+    unless the walk reached 0 with elements left, which are unread.  At a
+    successor g + c (g zero or a limit) the walk jumps c positions to g
+    without reading them, since any c elements lead there; when fewer are
+    left it returns the interned g + (c - left) from the node's drop memo.
+    Only a limit reads its element, through :func:`descend`'s memo.  A zero
     r reads nothing.
     """
-    if r is ZERO:
-        return r
-    for n in elements:
-        nxt = r._next.get(n)
-        r = descend(r, n) if nxt is None else nxt
-        if r is ZERO:
-            break
-    return r
+    end = len(s)
+    while r is not ZERO and i < end:
+        c, g, drops = r._run or _split(r)
+        if not c:
+            n = s[i]
+            nxt = r._next.get(n)
+            r = descend(r, n) if nxt is None else nxt
+            i += 1
+        elif i + c <= end:
+            r = g
+            i += c
+        else:
+            k = c - (end - i)
+            r = drops.get(k)
+            if r is None:
+                r = drops[k] = Ordinal(g.terms + ((ZERO, k),))
+            return r, end
+    return r, i
 
 
 # -- text form --------------------------------------------------------

@@ -265,7 +265,7 @@ def rank_separation(xi1, xi2, window: Window,
     # homogenize's admit with the colour fixed at True: every level-xi1
     # member must be a proper initial segment of a level-xi2 member
     admit, (_, root) = _homogenize_admit(
-        FamilySpec("A", xi1), lambda t: _walk(xi2, t) is not ZERO)
+        FamilySpec("A", xi1), lambda t: _walk(xi2, t)[0] is not ZERO)
     hit = _lex_first(window.ground, target, admit, (True, root))
     if hit is None:
         return None

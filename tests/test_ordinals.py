@@ -1,11 +1,15 @@
 import copy
+import os
 import pickle
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schreier import ordinals
 from schreier.ordinals import (
     ZERO,
     ONE,
@@ -313,6 +317,77 @@ def test_fundamental_large_entries_and_towers():
     t4 = fundamental(o("w^w^w"), 4)
     assert t3 < t4 < o("w^w^w")
     assert fundamental(o("w^w^w"), 2) == o("w^(w+1) + w^w + w + 1")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_bounded(*args):
+    # the climbing exponent used to loop without bound: a time limit turns
+    # that into a failure instead of a hung suite
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
+def test_climbing_exponent_hits_the_expansion_limit():
+    # at 9 the exponent of w^(w^w^w) gains terms while no finished term is
+    # written; its terms now count against the limit
+    api = run_bounded("-c", (
+        "from schreier.ordinals import fundamental, parse_ordinal\n"
+        "try:\n"
+        "    fundamental(parse_ordinal('w^(w^w^w)'), 9)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"))
+    assert api.returncode == 0, api.stderr[-2000:]
+    assert api.stdout.strip() == ("normal form of the value at 9 runs past "
+                                  "20000 terms; use a smaller index")
+    cli = run_bounded("-m", "schreier.cli", "member", "--family", "B:w^w^w",
+                      "--set", "{9,10}")
+    assert cli.returncode == 2
+    assert cli.stderr.startswith("error:")
+    assert "20000 terms" in cli.stderr
+
+
+def acc_only_fundamental(x, n, limit):
+    # fundamental as it was, counting only the finished terms
+    acc = list(x.terms[:-1])
+    e, p = x.terms[-1]
+    if p > 1:
+        acc.append((e, p - 1))
+    while True:
+        if len(acc) > limit:
+            raise ValueError("limit")
+        if e is ONE:
+            if n > 1:
+                acc.append((ZERO, n - 1))
+            break
+        if e.is_successor:
+            b = predecessor(e)
+            if n > 1:
+                acc.append((b, n - 1))
+            e = b
+        else:
+            e = wainer_fundamental(e, n)
+    return Ordinal(tuple(acc))
+
+
+@pytest.mark.parametrize("limit", [1, 3, 7, 20, 60])
+def test_expansion_limit_refuses_what_counting_finished_terms_did(
+        monkeypatch, limit):
+    monkeypatch.setattr(ordinals, "_EXPANSION_LIMIT", limit)
+    for text in ("w", "w*3", "w^2*2+w", "w^3", "w^w", "w^w*2", "w^(w+1)",
+                 "w^(w^2)", "w^(w^w)", "w^(w^w+w)", "w^5+w^2*3+w",
+                 "w^(w^2)+w^(w*2+1)"):
+        x = o(text)
+        for n in range(1, 7):
+            try:
+                want = acc_only_fundamental(x, n, limit)
+            except ValueError:
+                with pytest.raises(ValueError, match=f"past {limit} terms"):
+                    fundamental(x, n)
+            else:
+                assert fundamental(x, n) is want
 
 
 tiny_ordinals = st.builds(

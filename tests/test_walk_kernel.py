@@ -6,16 +6,22 @@ Every caller of the shared kernel must agree with it on tuples, lists and
 one-shot generators alike.
 """
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from schreier import ordinals
 from schreier.canonical import FamilyContractError, canonical_rep, trichotomy
 from schreier.families import (parse_family, residual_after, uniform_member,
                                uniform_star)
-from schreier.ordinals import ZERO, as_ordinal, descend
+from schreier.ordinals import (OMEGA, ZERO, _walk, as_ordinal, descend,
+                               from_int, parse_ordinal)
 from schreier.rank import symbolic_rank
 
-PANEL = ("A:0", "A:3", "A:w", "A:w+1", "A:w*2", "A:w^2", "A:w^w", "B:2")
+PANEL = ("A:0", "A:3", "A:w", "A:w+1", "A:w*2", "A:w^2", "A:w^w", "B:2",
+         # multi-term successors: runs that end at a limit or mid-set
+         "A:w*2+3", "A:w^2+w+2", "A:w^w+5", "B:w+1")
 
 FORMS = {
     "tuple": tuple,
@@ -98,6 +104,25 @@ def test_walk_callers_match_per_element_descent(text, s, form):
                        else ("ProperPrefixOfMember", None))
 
 
+def oracle_walk(r, s, i):
+    while r is not ZERO and i < len(s):
+        r = descend(r, s[i])
+        i += 1
+    return r, i
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.sampled_from(("0", "5", "w+7", "w*3+2", "w^2*2+w*3+4",
+                             "w^3+1", "w^w+w^2+2", "w^(w+1)+3")),
+       s=sets, data=st.data())
+def test_kernel_from_any_index_matches_per_element_descent(text, s, data):
+    xi = parse_ordinal(text)
+    i = data.draw(st.integers(0, len(s)))
+    got = _walk(xi, s, i)
+    want = oracle_walk(xi, s, i)
+    assert got[0] is want[0] and got[1] == want[1]
+
+
 @pytest.mark.parametrize("text", PANEL)
 def test_walk_leaves_the_rest_of_a_stuck_generator_alone(text):
     # a stuck walk reads exactly one element past the member boundary
@@ -118,3 +143,47 @@ def test_walk_leaves_the_rest_of_a_stuck_generator_alone(text):
         assert seen == list(s[:k + 1])
     else:
         assert seen == list(s)
+
+
+# from w^w + 5 the count's sixth element opens a descent too long to read
+@pytest.mark.parametrize("text", [t for t in PANEL if t != "A:w^w+5"])
+def test_walk_stops_one_element_past_the_first_member_of_an_endless_input(text):
+    xi = parse_family(text).system_ordinal()
+    k, r = 0, xi
+    while r is not ZERO:
+        k += 1
+        r = descend(r, k)
+    seen = []
+
+    def elements():
+        for x in itertools.count(1):
+            seen.append(x)
+            yield x
+
+    assert residual_after(xi, elements()) is None
+    assert seen == list(range(1, k + 2))
+
+
+@pytest.mark.parametrize("text, s", [
+    ("w", (9, 10)),               # 8, cut to 7
+    ("w*2+3", (4,)),              # w*2 + 2: the leading run, cut
+    ("w^2+w+2", (5, 6, 7, 8)),    # the run ends at w^2 + w; 7 opens
+                                  # w^2 + 6, cut to w^2 + 5
+    ("w^w+5", (1, 2)),            # w^w + 3
+    ("w^2", (3, 4)),              # w*2 + 2, cut to w*2 + 1
+])
+def test_partial_run_lands_on_the_interned_node(text, s):
+    xi = parse_ordinal(text)
+    for form in FORMS.values():
+        got = residual_after(xi, form(s))
+        assert got is oracle_residual(xi, s)
+        assert not got.is_zero
+
+
+def test_run_is_jumped_without_building_its_residuals():
+    # from w, 600 leads to 599, whose run the next 499 elements only shorten
+    before = len(ordinals._INTERNED)
+    r = residual_after(OMEGA, tuple(range(600, 1100)))
+    grown = len(ordinals._INTERNED) - before
+    assert r is from_int(100)
+    assert grown <= 2
