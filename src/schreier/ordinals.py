@@ -306,11 +306,11 @@ def fundamental(x: Ordinal, n: int) -> Ordinal:
         acc.append((e, p - 1))
     # invariant: x == Ordinal(acc) + w**e, with e >= 1 strictly decreasing
     while True:
-        # for n > 1 every term of e still owes acc terms: c for a natural
-        # part c, at least n for each copy of an infinite one; the last is
-        # appended after the check.  So a climbing exponent is refused as
-        # soon as its share runs past the limit, and the check raises
-        # exactly when counting acc alone would, only sooner.
+        # for n > 1 each term of e will still add terms to acc: c for a
+        # natural part c, at least n for each copy of an infinite one.  The
+        # final one is added after the last check, hence the - 1.  So a
+        # climbing exponent is refused as soon as its share passes the
+        # limit, exactly when counting acc alone would, only sooner.
         owed = 1 if n == 1 else sum(c if b is ZERO else c * n
                                     for b, c in e.terms)
         if len(acc) + owed - 1 > _EXPANSION_LIMIT:
