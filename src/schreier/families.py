@@ -21,12 +21,13 @@ family of sets with |s| = min s.
 Membership predicates use the infinite ground line: a star test asks for an
 extension somewhere in the naturals, not merely inside a window.  Windowed
 enumeration is exhaustive over the window's ground set: a prefix walk,
-pruned by the count rows, the union step or the star test, lists it level
-by level in shortlex order, except that a custom kind with no star test
-filters every subset; closures computed on a window only count witnesses
-inside the window (documented on the operations).  The searches and the
-containment checks instead grow one frontier of kept subsets an element
-at a time (_kept), bounded at _MAX_KEPT entries.
+by residual for the system families (pruned by the count rows) and the
+natural union levels, else pruned by the union step or the star test,
+lists it level by level in shortlex order, except that a custom kind with
+no star test filters every subset; closures computed on a window only
+count witnesses inside the window (documented on the operations).  The
+searches and the containment checks instead grow one frontier of kept
+subsets an element at a time (_kept), bounded at _MAX_KEPT entries.
 """
 
 from __future__ import annotations
@@ -372,10 +373,8 @@ def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
     xi = spec.system_ordinal()
     if xi is not None:
         _cap(len(window.ground))
-        # every node the walk keeps lies below a member inside the window
-        return [EMPTY,
-                *_level_walk(window.ground, *_system_step(xi, window.ground),
-                             ZERO)]
+        rows, _ = _member_counts(xi, window.ground)  # nodes below members
+        return [EMPTY, *_residual_walk(window.ground, xi, rows)]
     if spec.kind == "F":  # a union level is prefix-closed
         return [EMPTY, *enumerate_family(spec, window)]
     return sorted({s[:k] for s in enumerate_family(spec, window)
@@ -424,25 +423,59 @@ def _cap(n: int):
 
 # -- prefix walks ------------------------------------------------------
 #
-# Both hierarchies walk the prefix tree over a ground list, whose nodes
-# carry a state, by one step protocol.  A listing walks it level by level,
-# children in ground order, so it comes out in shortlex order unsorted.
-
-_END = object()
+# A listing walks the prefix tree over a ground list level by level,
+# children in ground order, so it comes out in shortlex order unsorted:
+# by residual (_residual_walk), else by a step protocol (_level_walk).
 
 
-def _level_walk(ground: Sequence[int], root, step, closed, only_closed=False):
-    """Every node below the root that step keeps, or with only_closed its
-    closed ones, in shortlex order.
+def _residual_walk(ground: Sequence[int], root: Ordinal, rows=None,
+                   members=False) -> List[FinSet]:
+    """The nonempty nodes the walk from the residual root keeps over the
+    ground list (with members, those at 0), in shortlex order.
+
+    A child costs one inline memo read and no step call; a node at 0 is
+    listed but not expanded.  With a system family's count rows a child
+    is kept when row[k] - row[k + 1], its members, is nonzero, up to the
+    row's first 0.  Without rows every child of a nonzero residual is
+    kept, a natural union level, and one at the end is a leaf.
+    """
+    n, out, ones = len(ground), [], [(x,) for x in ground]
+    level = [(EMPTY, root, 0)] if n and root is not ZERO else []
+    while level:
+        below = []
+        for s, r, j in level:
+            memo = r._next
+            if rows is None:
+                for k in range(j, n - 1):
+                    out.append(t := s + ones[k])
+                    d = memo.get(x := ground[k]) or descend(r, x)
+                    if d is not ZERO:
+                        below.append((t, d, k + 1))
+                out.append(s + ones[-1])
+                continue
+            row = rows[r]  # rows fall to row[n] == 0
+            for k in range(j, row.index(0, j)):
+                if row[k] == row[k + 1]:
+                    continue
+                t = s + ones[k]
+                d = memo.get(x := ground[k]) or descend(r, x)
+                if d is ZERO or not members:
+                    out.append(t)
+                if d is not ZERO:
+                    below.append((t, d, k + 1))
+        level = below
+    return out
+
+
+def _level_walk(ground: Sequence[int], root, step, closed):
+    """Every node below the root that step keeps, in shortlex order.
 
     step(state, x, k) gives the state of s + (x,), x = ground[k], a child
-    of s in that state.  It returns None to drop that child and everything
-    under it, and _END to drop its later siblings too.  A node whose state
-    is `closed` is listed but not expanded; neither is a closed root.
+    of s in that state, or None to drop that child and everything under
+    it.  A node whose state is `closed` is listed but not expanded.
     """
-    kids = [(k, x, (x,)) for k, x in enumerate(ground)]
-    out = []
-    level = [] if root is closed else [(EMPTY, root, 0)]
+    kids, out = [(k, x, (x,)) for k, x in enumerate(ground)], []
+    level = [(EMPTY, root, 0)]
     while level:
         below = []
         for s, state, j in level:
@@ -450,11 +483,7 @@ def _level_walk(ground: Sequence[int], root, step, closed, only_closed=False):
                 c = step(state, x, k)
                 if c is None:
                     continue
-                if c is _END:
-                    break
-                t = s + one
-                if c is closed or not only_closed:
-                    out.append(t)
+                out.append(t := s + one)
                 if c is not closed:
                     below.append((t, c, k + 1))
         level = below
@@ -520,29 +549,6 @@ def _member_counts(xi: Ordinal, ground: Sequence[int], j: int = 0):
     return rows, lo
 
 
-def _system_step(xi: Ordinal, ground: Sequence[int]):
-    """Root state and step of the walk over the nonempty initial segments
-    of the members of the system family at xi inside the ground list.
-
-    A node's state is its residual and count row, ZERO at a member.  A
-    child is entered only when the row gives it members, row[k] - row[k + 1],
-    and then costs one descend."""
-    if xi is ZERO:
-        return ZERO, None
-    rows, _ = _member_counts(xi, ground)
-
-    def step(state, x, k):
-        r, row = state
-        if row[k] == row[k + 1]:
-            return None if row[k + 1] else _END
-        d = r._next.get(x)
-        if d is None:
-            d = descend(r, x)
-        return d if d is ZERO else (d, rows[d])
-
-    return (xi, rows[xi]), step
-
-
 # frontier entries a search or a containment check may hold
 _MAX_KEPT = 1 << 20
 
@@ -564,6 +570,11 @@ def _kept(keep):
     test = keep.star if isinstance(keep, FamilySpec) else keep
 
     def grow(frontier, e):
+        # a step that may pass the bound counts its kept children first
+        if 2 * len(frontier) > _MAX_KEPT and len(frontier) + sum(
+                1 for s, r in frontier if (test(s + (e,)) if xi is None else
+                (r._next.get(e) or descend(r, e)) is not ZERO)) > _MAX_KEPT:
+            raise ValueError(f"more than {_MAX_KEPT} kept subsets")
         if xi is None:
             grown = kept = [(t, None) for s, _ in frontier
                             if test(t := s + (e,))]
@@ -572,8 +583,6 @@ def _kept(keep):
             grown = [(s + (e,), r._next.get(e) or descend(r, e))
                      for s, r in frontier]
             kept = [g for g in grown if g[1] is not ZERO]
-        if len(frontier) + len(kept) > _MAX_KEPT:
-            raise ValueError(f"more than {_MAX_KEPT} kept subsets")
         return grown, frontier + kept
 
     return grow, ([(EMPTY, None)] if xi is None else
@@ -584,16 +593,18 @@ def _members(spec: FamilySpec, ground: Sequence[int],
              head: FinSet = EMPTY) -> List[FinSet]:
     """The sets t over the ground list with head + t a member, shortlex.
 
-    Walked by the count rows from head's residual for a system family, by
-    the union walk from the root for a union level, else by the star test.
+    By the residual walk from head's residual for a system family or a
+    natural union level, else by the union step or the star test.
     """
     _cap(len(ground))
     xi = spec.system_ordinal()
-    if xi is not None:
-        r = residual_after(xi, head)
+    union = spec.kind == "F" and as_ordinal(spec.ordinal).is_natural
+    if union or xi is not None:  # F:a is star(B:a) without the empty set
+        r = residual_after(omega_power(spec.ordinal) if union else xi, head)
         if r is None or r is ZERO:
             return [] if r is None else [EMPTY]
-        return _level_walk(ground, *_system_step(r, ground), ZERO, True)
+        return ([EMPTY] * bool(head) + _residual_walk(ground, r) if union else
+                _residual_walk(ground, r, _member_counts(r, ground)[0], True))
     if spec.kind == "F" and not head:
         return _level_walk(ground, *_union_step(spec.ordinal, ground), False)
     if spec.kind == "custom" and spec.star_predicate is None:
@@ -621,7 +632,8 @@ def _union_step(a, ground: Sequence[int]):
     in state u, and False when its children are not members.  Levels 1 and
     2 read x alone, from the state t[0] - len(t) or (t[0] - parts, part end
     - len(t)) for the greedy parts, None at the root; elsewhere it is the
-    set, and the step asks the level's test from _resolve.
+    set, and the step asks the level's test from _resolve.  Only infinite
+    levels list by it; it also steps both sides of the shift transfer.
     """
     a, n = as_ordinal(a), len(ground)
     if a == 1:
@@ -639,4 +651,6 @@ def _union_step(a, ground: Sequence[int]):
 
 def enumerate_union_schreier(a, window: Window) -> List[FinSet]:
     """All union-hierarchy members at level a inside the window, shortlex."""
+    if as_ordinal(a).is_natural:  # star(B:a) without the empty set
+        return _residual_walk(window.ground, omega_power(a))
     return _level_walk(window.ground, *_union_step(a, window.ground), False)

@@ -36,7 +36,7 @@ ODD_TRIPLE = FamilySpec("custom", predicate=_odd_triple,
                         name="odd-triple")
 
 SYSTEM = [f"{k}:{a}" for k in "AB" for a in ("2", "w", "w+1", "w*2", "w^2")]
-UNION = [f"F:{a}" for a in ("0", "1", "2", "3", "w", "w^2")]
+UNION = [f"F:{a}" for a in ("0", "1", "2", "3", "4", "5", "6", "w", "w^2")]
 PANEL = [parse_family(t) for t in SYSTEM + UNION + ["exL", "exR", "ex112"]]
 PANEL.append(ODD_TRIPLE)
 
@@ -114,21 +114,33 @@ def test_system_star_closure_matches_both_oracles(text, w):
 # -- the union levels ----------------------------------------------------
 
 
-@pytest.mark.parametrize("level,hi,calls", [(1, 18, 6764), (2, 14, 6717)])
-def test_union_listing_makes_one_step_call_per_member(monkeypatch, level, hi,
-                                                      calls):
-    made = []
-    real = families._union_step
+@pytest.mark.parametrize("level,hi,members", [(1, 18, 6764), (2, 14, 6717)])
+def test_union_listing_walks_the_residual_of_w_to_the_level(monkeypatch, level,
+                                                            hi, members):
+    # a natural level lists by the residual of w^level, one memo read per
+    # child: no union step and no walk from the root, and once the memo is
+    # warm no descend either
+    def refuse(*args):
+        raise AssertionError("the listing left the residual walk")
 
-    def counting(a, ground):
-        root, step = real(a, ground)
-        return root, lambda *args: made.append(None) or step(*args)
-
-    monkeypatch.setattr(families, "_union_step", counting)
+    monkeypatch.setattr(families, "_union_step", refuse)
+    monkeypatch.setattr(families, "residual_after", refuse)
     w = Window(1, hi)
     got = enumerate_union_schreier(level, w)
-    assert len(made) == len(got) == calls
+    assert len(got) == members
     assert shortlex_once(got)
+    made = []
+    real = families.descend
+    monkeypatch.setattr(families, "descend",
+                        lambda *args: made.append(args) or real(*args))
+    assert enumerate_union_schreier(level, w) == got
+    assert made == []
+
+
+def test_union_sections_count_pinned():
+    # the sections of F:3 at 1..5 on [1,16] walk from each head's residual
+    spec, w = parse_family("F:3"), Window(1, 16)
+    assert sum(len(section(spec, m, w)) for m in range(1, 6)) == 30721
 
 
 IDENTITY_LEVELS = ["0", "1", "2", "3", "4", "5", "6", "w", "w+1", "w+2", "w*2",

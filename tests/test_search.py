@@ -1,6 +1,7 @@
 """Search operations: witnesses, branch selection, and certificate re-checks."""
 
 import time
+import tracemalloc
 from functools import cache
 from itertools import combinations
 
@@ -1051,3 +1052,29 @@ def test_forged_large_index_transfer_refused_at_the_bound(small_frontier,
          "xi": str(level), "route": "direct", "target": 60,
          "spread_checked": 0})
     assert verify_certificate(forged) == (False, "more than 4096 kept subsets")
+
+
+def test_frontier_refusal_peaks_no_higher_than_the_last_step_that_fits(
+        small_frontier):
+    # the refusing step counts its kept children before it grows them: at
+    # target 13 the A:40 frontier would pass 4096 sets, and refusing it
+    # allocates no more than the search to target 12, which fits; the
+    # grown list built before the check doubled that peak
+    spec, w = parse_family("A:40"), Window(1, 40)
+    coloring = get_coloring("parity-sum")
+
+    def peak(target):
+        tracemalloc.start()
+        try:
+            homogenize(spec, coloring, w, target)
+        except ValueError as refused:
+            assert str(refused) == "more than 4096 kept subsets"
+        else:
+            assert target == 12
+        out = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return out
+
+    peak(12), peak(13)  # warm the ordinal memos and the tuple free lists
+    fits, refused = peak(12), peak(13)
+    assert refused < 1.25 * fits, (fits, refused)
