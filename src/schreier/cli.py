@@ -125,7 +125,7 @@ def _run_rank(args) -> Result:
     xi = spec.system_ordinal()
     if xi is None:
         raise ValueError(
-            f"rank needs a system family (A:<ord> or B:<ord>), "
+            f"rank needs a system family (A:<ord>, B:<ord> or exR), "
             f"got {spec.literal()}"
         )
     s = _cli_set(args.set)
@@ -177,6 +177,8 @@ def _run_ord(args) -> Result:
 def _run_homogenize(args) -> Result:
     spec = parse_family(args.family)
     win = _window(args)
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValueError("--seed must fit in 64 bits")
     coloring = get_coloring(args.coloring, args.seed)
     try:
         cert = homogenize(spec, coloring, win, args.target)
@@ -330,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of plain text")
-    common.add_argument("--seed", type=int, default=0, metavar="U64",
-                        help="seed for the hash coloring (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="schreier",
@@ -392,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "external:<command>")
     add_window(p)
     p.add_argument("--target", required=True, type=int)
+    p.add_argument("--seed", type=int, default=0, metavar="U64",
+                   help="seed for the hash coloring (default 0)")
 
     p = verb("dichotomy", _run_dichotomy,
              "containment dichotomy against a hereditary predicate")
@@ -437,9 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 <= args.seed < 2 ** 64:
-        print("error: --seed must fit in 64 bits", file=sys.stderr)
-        return USAGE
     try:
         status, out, lines = args.handler(args)
     except FamilyContractError as e:

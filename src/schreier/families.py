@@ -15,8 +15,9 @@ Three constructions live here.
 * Named one-off families used as fixtures: two size-vs-minimum families and
   a mixed-section family built from system families.
 
-The "B" kind is the system family at omega**a; at a = 1 it is the classical
-family of sets with |s| = min s.
+The "B" kind is the system family at omega**a.  At a = 1 it is the classical
+Schreier family of sets with |s| = min s, which is also the named exR; both
+resolve to the system family at omega, so they take the same paths.
 
 Membership predicates use the infinite ground line: a star test asks for an
 extension somewhere in the naturals, not merely inside a window.  Windowed
@@ -203,9 +204,10 @@ class FamilySpec:
     def __post_init__(self):
         # the resolved tests live outside the fields, so ==, hash and repr
         # see the literal only
-        member, star = _resolve(self)
+        member, star, root = _resolve(self)
         object.__setattr__(self, "_member", member)
         object.__setattr__(self, "_star", star)
+        object.__setattr__(self, "_root", root)
 
     def __reduce__(self):
         # the resolved tests are closures: rebuild them from the fields
@@ -215,11 +217,7 @@ class FamilySpec:
     # the system ordinal actually consumed by the residual walk, when the
     # family is a system family
     def system_ordinal(self) -> Optional[Ordinal]:
-        if self.kind == "A":
-            return self.ordinal
-        if self.kind == "B":
-            return omega_power(self.ordinal)
-        return None
+        return None if self.kind == "F" else self._root
 
     def member(self, s: FinSet) -> bool:
         return self._member(s)
@@ -249,7 +247,9 @@ class FamilySpec:
 
 
 def _resolve(spec: FamilySpec):
-    """Check a family literal and pick its member and star tests, once."""
+    """Check a family literal and pick its member and star tests and its
+    residual root, once: xi for A:xi, w^a for B:a and a natural F:a, w for
+    exR ({s : |s| = min s} is A:w), None for the other kinds."""
     kind = spec.kind
     if kind in _ORDINAL_KINDS:
         if spec.ordinal is None:
@@ -258,42 +258,41 @@ def _resolve(spec: FamilySpec):
         if kind == "F" and not a.is_natural:
             # nonempty initial segments of members are members
             return (lambda s: bool(s) and _greedy_covers(a, s, {}),
-                    lambda s: not s or _greedy_covers(a, s, {}))
+                    lambda s: not s or _greedy_covers(a, s, {}), None)
         root = a if kind == "A" else omega_power(a)
         if kind == "F":  # a natural level is star(B:a) without the empty set
             return (lambda s: bool(s) and residual_after(root, s) is not None,
-                    lambda s: residual_after(root, s) is not None)
-        return (lambda s: residual_after(root, s) is ZERO,
-                lambda s: residual_after(root, s) is not None)
-    if kind in _NAMED_KINDS:
+                    lambda s: residual_after(root, s) is not None, root)
+    elif kind in _NAMED_KINDS:
         if spec.ordinal is not None:
             raise ValueError(f"kind {kind} takes no ordinal")
         if kind == "exL":
             return (lambda s: bool(s) and len(s) == 2 * s[0] + 1,
-                    lambda s: not s or len(s) <= 2 * s[0] + 1)
-        if kind == "exR":
-            return (lambda s: bool(s) and len(s) == s[0],
-                    lambda s: not s or len(s) <= s[0])
-
-        def walk(s, five=as_ordinal(5), w2=OMEGA + OMEGA):
-            # ex112, mixed 2w-uniform: the section at 1 is the 5-sets, at 2
-            # the |s|=min s family, above 2 the system family at w+n = w*2[n+1]
-            n = s[0]
-            sec = five if n == 1 else OMEGA if n == 2 else descend(w2, n + 1)
-            return residual_after(sec, s[1:])
-        return (lambda s: bool(s) and walk(s) is ZERO,
-                lambda s: not s or walk(s) is not None)
-    if kind != "custom":
+                    lambda s: not s or len(s) <= 2 * s[0] + 1, None)
+        if kind == "ex112":
+            def walk(s, five=as_ordinal(5), w2=OMEGA + OMEGA):
+                # ex112, mixed 2w-uniform: the section at 1 is the 5-sets,
+                # at 2 exR, above 2 the system family at w+n = w*2[n+1]
+                n = s[0]
+                sec = five if n == 1 else OMEGA if n == 2 else descend(w2, n + 1)
+                return residual_after(sec, s[1:])
+            return (lambda s: bool(s) and walk(s) is ZERO,
+                    lambda s: not s or walk(s) is not None, None)
+        root = OMEGA
+    elif kind != "custom":
         raise ValueError(f"unknown family kind {kind!r}")
-    pred, star = spec.predicate, spec.star_predicate
-    if pred is None:
-        raise ValueError("custom kind needs a membership predicate")
-    if star is None:
-        missing = f"no initial-segment test available for {spec.literal()}"
+    else:
+        pred, star = spec.predicate, spec.star_predicate
+        if pred is None:
+            raise ValueError("custom kind needs a membership predicate")
+        if star is None:
+            missing = f"no initial-segment test available for {spec.literal()}"
 
-        def star(s):
-            raise ValueError(missing)
-    return (lambda s: bool(pred(s))), (lambda s: bool(star(s)))
+            def star(s):
+                raise ValueError(missing)
+        return (lambda s: bool(pred(s))), (lambda s: bool(star(s))), None
+    return (lambda s: residual_after(root, s) is ZERO,
+            lambda s: residual_after(root, s) is not None, root)
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -319,20 +318,20 @@ def parse_family(text: str) -> FamilySpec:
 def _down_test(spec: FamilySpec) -> Callable[[FinSet], bool]:
     """The family's subset-closure test: its star test, picked once.
 
-    The initial-segment closures of exL and exR are subset-closed by
-    their closed forms.  A union level (F) is its own closure less the
-    empty set, and hereditary: by induction on the level, a subset's
-    nonempty traces on a member's blocks are blocks, no more of them, and
-    its minimum is no smaller.  A system family's (A and B) star sets are
-    the sets the residual walk does not strand (r admits t when the walk
-    from r over t never descends 0), and skipping an element never
-    strands it: if r admits (x,) + t with x < t[0], r admits t.  By
-    induction on r.  A successor's step does not read the element.  At a
-    limit lam, lam[x] admits t, hence t[1:] by induction, and lam[t[0]]
-    descends to lam[x] through steps at indices <= t[0]; each step can be
-    put before t[1:] and dropped again by induction, so lam[t[0]] admits
-    t[1:].  Dropping elements one at a time, every subset of an initial
-    segment of a member is one.
+    The initial-segment closure of exL is subset-closed by its closed
+    form.  A union level (F) is its own closure less the empty set, and
+    hereditary: by induction on the level, a subset's nonempty traces on
+    a member's blocks are blocks, no more of them, and its minimum is no
+    smaller.  A system family's (A, B and exR) star sets are the sets the
+    residual walk does not strand (r admits t when the walk from r over t
+    never descends 0), and skipping an element never strands it: if r
+    admits (x,) + t with x < t[0], r admits t.  By induction on r.  A
+    successor's step does not read the element.  At a limit lam, lam[x]
+    admits t, hence t[1:] by induction, and lam[t[0]] descends to lam[x]
+    through steps at indices <= t[0]; each step can be put before t[1:]
+    and dropped again by induction, so lam[t[0]] admits t[1:].  Dropping
+    elements one at a time, every subset of an initial segment of a
+    member is one.
     ``test_down_closed_form_vs_witness_search`` and
     ``test_system_star_is_hereditary`` in tests/test_families.py check
     this against the witness search and on the subsets of [1,16].
@@ -597,14 +596,13 @@ def _members(spec: FamilySpec, ground: Sequence[int],
     natural union level, else by the union step or the star test.
     """
     _cap(len(ground))
-    xi = spec.system_ordinal()
-    union = spec.kind == "F" and as_ordinal(spec.ordinal).is_natural
-    if union or xi is not None:  # F:a is star(B:a) without the empty set
-        r = residual_after(omega_power(spec.ordinal) if union else xi, head)
+    if spec._root is not None:
+        r = residual_after(spec._root, head) if head else spec._root
         if r is None or r is ZERO:
             return [] if r is None else [EMPTY]
-        return ([EMPTY] * bool(head) + _residual_walk(ground, r) if union else
-                _residual_walk(ground, r, _member_counts(r, ground)[0], True))
+        if spec.kind == "F":  # F:a is star(B:a) without the empty set
+            return [EMPTY] * bool(head) + _residual_walk(ground, r)
+        return _residual_walk(ground, r, _member_counts(r, ground)[0], True)
     if spec.kind == "F" and not head:
         return _level_walk(ground, *_union_step(spec.ordinal, ground), False)
     if spec.kind == "custom" and spec.star_predicate is None:
@@ -650,7 +648,8 @@ def _union_step(a, ground: Sequence[int]):
 
 
 def enumerate_union_schreier(a, window: Window) -> List[FinSet]:
-    """All union-hierarchy members at level a inside the window, shortlex."""
-    if as_ordinal(a).is_natural:  # star(B:a) without the empty set
-        return _residual_walk(window.ground, omega_power(a))
-    return _level_walk(window.ground, *_union_step(a, window.ground), False)
+    """All union-hierarchy members at level a inside the window, shortlex.
+
+    The ground set is capped at 25 elements by _cap.
+    """
+    return _members(FamilySpec("F", a), window.ground)

@@ -49,15 +49,14 @@ def symbolic_rank(xi, s) -> Ordinal:
 def closure_index(spec: FamilySpec) -> Ordinal:
     """Symbolic index of the family's downward closure.
 
-    The closure of the system family at xi has index xi + 1; the indexed
-    hierarchies at level a sit at omega**a + 1.  Families without a known
+    The closure of the system family at xi has index xi + 1; the union
+    hierarchy at level a sits at omega**a + 1.  Families without a known
     symbolic index are rejected.
     """
-    if spec.kind == "A":
-        return add(spec.ordinal, ONE)
-    if spec.kind in ("B", "F"):
-        return add(omega_power(spec.ordinal), ONE)
-    raise ValueError(f"no symbolic index for {spec.literal()}")
+    xi = omega_power(spec.ordinal) if spec.kind == "F" else spec.system_ordinal()
+    if xi is None:
+        raise ValueError(f"no symbolic index for {spec.literal()}")
+    return add(xi, ONE)
 
 
 class ProbeInconsistency(RuntimeError):

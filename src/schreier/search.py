@@ -12,7 +12,7 @@ raises ValueError.
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import count
 from typing import List, Optional, Sequence, Tuple
 
 from .certificates import Certificate, hereditary_predicate, make_certificate
@@ -23,6 +23,7 @@ from .families import (
     _kept,
     _member_counts,
     _union_step,
+    check_sperner,
     parse_family,
 )
 from .finsets import EMPTY, FinSet, Window, spread
@@ -152,26 +153,17 @@ def sperner_refine(spec: FamilySpec, window: Window,
                    target: int) -> Optional[Certificate]:
     """Find L whose family members form an antichain under inclusion.
 
-    Equivalent to homogenizing against the minimal members: within any L,
-    members are pairwise incomparable iff each one has no proper member
-    subset, so the search admits an element only while every member it
-    completes stays minimal: homogenize's admit with minimality as the
-    colour.  The frontier meets every member subset of a member before
-    the member itself, so the first member met is minimal and fixes the
-    colour at True.
+    An element e joins the partial set only while check_sperner holds on
+    partial + (e,), the rule the certificate's verifier applies to L.
     """
     if target < 1:
         raise ValueError("target must be at least 1")
 
-    def minimal(t):
-        return not any(
-            spec.member(s)
-            for k in range(1, len(t))
-            for s in combinations(t, k)
-        )
+    def admit(partial, e, state):
+        L = partial + (e,)
+        return check_sperner(spec, Window(L[0], e, L))[0], state
 
-    admit, root = _homogenize_admit(spec, minimal)
-    hit = _lex_first(window.ground, target, admit, root)
+    hit = _lex_first(window.ground, target, admit)
     if hit is None:
         return None
     L, _ = hit

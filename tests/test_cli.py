@@ -116,6 +116,9 @@ def test_rank_value(capsys):
     rc, out, _ = run(capsys, "rank", "--family", "A:w", "--set", "{3}")
     assert rc == 0
     assert out.strip() == "2"
+    # exR is the system family at w, so it carries a rank and an index
+    rc, out, _ = run(capsys, "rank", "--family", "exR", "--set", "{3,4}")
+    assert (rc, out.strip()) == (0, "1")
 
 
 def test_rank_dead_end(capsys):
@@ -133,6 +136,8 @@ def test_index_value(capsys):
     rc, out, _ = run(capsys, "index", "--family-closure", "A:w")
     assert rc == 0
     assert out.strip() == "w + 1"
+    rc, out, _ = run(capsys, "index", "--family-closure", "exR")
+    assert (rc, out.strip()) == (0, "w + 1")
 
 
 def test_index_json(capsys):
@@ -517,7 +522,16 @@ def test_check_reports_seconds(capsys, monkeypatch):
 
 
 def test_seed_range_checked(capsys):
-    rc, _, err = run(capsys, "member", "--family", "A:1", "--set", "{1}",
+    rc, _, err = run(capsys, "homogenize", "--family", "A:2", "--coloring",
+                     "hash", "--window", "1..10", "--target", "3",
                      "--seed", "-3")
     assert rc == 2
     assert "seed" in err
+
+
+def test_seed_only_on_homogenize(capsys):
+    # the hash colouring is the only reader of a seed
+    with pytest.raises(SystemExit) as e:
+        main(["member", "--family", "A:1", "--set", "{1}", "--seed", "3"])
+    assert e.value.code == 2
+    assert "--seed" in capsys.readouterr().err

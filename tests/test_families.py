@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schreier import finsets
+from schreier.canonical import canonical_rep, trichotomy
 from schreier.families import (
     FamilySpec,
     check_sperner,
@@ -26,6 +27,7 @@ from schreier.families import (
     uniform_star,
     union_schreier_member,
     _down_test,
+    _kept,
 )
 from schreier.finsets import EMPTY, Window
 from schreier.ordinals import (
@@ -293,6 +295,30 @@ def test_size_min_fixtures():
         assert R.star(s) == (not s or len(s) <= s[0])
 
 
+def test_exR_is_the_system_family_at_w():
+    # {s : |s| = min s} resolves to A:w and takes its every path; the
+    # closed form above stays the oracle
+    R, A = parse_family("exR"), parse_family("A:w")
+    assert R.system_ordinal() == OMEGA and R.literal() == "exR"
+    w = Window(1, 16)
+    for s in w.subsets():
+        assert R.member(s) == A.member(s) == (bool(s) and len(s) == s[0])
+        assert R.star(s) == A.star(s)
+        if s:
+            assert canonical_rep(R, s) == canonical_rep(A, s)
+            assert trichotomy(R, s) == trichotomy(A, s)
+    assert enumerate_family(R, w) == enumerate_family(A, w)
+    assert star_closure(R, w) == star_closure(A, w)
+    for m in w.ground:
+        assert section(R, m, w) == section(A, m, w)
+    (grow_r, frontier_r), (grow_a, frontier_a) = _kept(R), _kept(A)
+    for e in w.ground:
+        grown_r, frontier_r = grow_r(frontier_r, e)
+        grown_a, frontier_a = grow_a(frontier_a, e)
+        assert grown_r == grown_a
+    assert frontier_r == frontier_a
+
+
 # -- family specs -----------------------------------------------------
 
 
@@ -463,6 +489,9 @@ def test_walk_edge_residuals():
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         enumerate_family(parse_family("A:w"), Window(1, 26))
+    for level in (1, OMEGA):  # the union listing, natural or not
+        with pytest.raises(ValueError, match="cap 25"):
+            enumerate_union_schreier(level, Window(1, 26))
 
 
 @pytest.mark.parametrize("text", ["A:2", "A:w", "A:w^2", "B:1", "ex112", "exL"])

@@ -62,6 +62,9 @@ def ex112_section(n):
 
 
 def oracle_member(spec, s):
+    # exR resolves to the system family at w: test its closed form instead
+    if spec.kind == "exR":
+        return bool(s) and len(s) == s[0]
     xi = spec.system_ordinal()
     if xi is not None:
         return uniform_member(xi, s)
@@ -69,14 +72,14 @@ def oracle_member(spec, s):
         return oracle_union_member(spec.ordinal, s)
     if spec.kind == "exL":
         return bool(s) and len(s) == 2 * s[0] + 1
-    if spec.kind == "exR":
-        return bool(s) and len(s) == s[0]
     if spec.kind == "ex112":
         return bool(s) and uniform_member(ex112_section(s[0]), s[1:])
     return bool(spec.predicate(s))
 
 
 def oracle_star(spec, s):
+    if spec.kind == "exR":
+        return not s or len(s) <= s[0]
     xi = spec.system_ordinal()
     if xi is not None:
         return uniform_star(xi, s)
@@ -84,8 +87,6 @@ def oracle_star(spec, s):
         return not s or oracle_union_member(spec.ordinal, s)
     if spec.kind == "exL":
         return not s or len(s) <= 2 * s[0] + 1
-    if spec.kind == "exR":
-        return not s or len(s) <= s[0]
     if spec.kind == "ex112":
         return not s or uniform_star(ex112_section(s[0]), s[1:])
     if spec.star_predicate is None:

@@ -58,6 +58,7 @@ def test_closure_index_symbolic():
     assert closure_index(parse_family("B:1")) == o("w+1")
     assert closure_index(parse_family("F:1")) == o("w+1")
     assert closure_index(parse_family("B:2")) == o("w^2+1")
+    assert closure_index(parse_family("exR")) == o("w+1")  # exR is A:w
     with pytest.raises(ValueError):
         closure_index(parse_family("exL"))
 

@@ -282,6 +282,50 @@ def test_sperner_witness_matches_subset_search(spec):
         assert cert.witness == hit[0]
 
 
+def oracle_minimal_colour_admit(spec):
+    """sperner_refine's former admit: homogenize's admit with minimality as
+    the colour, each member it completes tested against every proper
+    subset."""
+    def minimal(t):
+        return not any(spec.member(s) for k in range(1, len(t))
+                       for s in combinations(t, k))
+    return _homogenize_admit(spec, minimal)
+
+
+def custom_sperner_spec(star):
+    # members are the pairs and triples with an odd minimum: nested ones
+    # meet on a thinned ground
+    return FamilySpec(
+        kind="custom", predicate=lambda s: len(s) in (2, 3) and s[0] % 2 == 1,
+        star_predicate=(lambda s: not s or len(s) <= 3 and s[0] % 2 == 1)
+        if star else None, name="odd-min-pairs-and-triples")
+
+
+SPERNER_PANEL = [pytest.param(parse_family(f), id=f) for f in (
+    "A:0", "A:3", "A:w", "A:w+2", "A:w^2", "B:1", "B:2", "F:0", "F:1", "F:2",
+    "F:w", "exL", "exR", "ex112")] + [
+    pytest.param(custom_sperner_spec(True), id="custom-star"),
+    pytest.param(custom_sperner_spec(False), id="custom-no-star")]
+THINNED_GROUNDS = [Window(1, 16, (1, 2, 4, 5, 7, 8, 10, 11, 13, 14)),
+                   Window(2, 20, tuple(range(2, 21, 2))),
+                   Window(1, 18, (1, 3, 4, 5, 9, 10, 11, 12, 17, 18)),
+                   Window(1, 22, (1, 2, 3, 5, 6, 7, 9, 10, 12, 13, 14, 16,
+                                  18, 20, 22))]
+
+
+@pytest.mark.parametrize("spec", SPERNER_PANEL)
+def test_sperner_witness_matches_minimal_colour(spec):
+    # the system families and exL are Sperner, so their witnesses are the
+    # ground's first elements; ex112 and the custom kinds refuse some, and
+    # the union levels past F:0 run out past two elements
+    for window in THINNED_GROUNDS:
+        for target in (2, 4, 6):
+            cert = sperner_refine(spec, window, target)
+            admit, root = oracle_minimal_colour_admit(spec)
+            hit = _lex_first(window.ground, target, admit, root)
+            assert (cert and cert.witness) == (hit and hit[0]), (window, target)
+
+
 # -- hereditary_dichotomy ---------------------------------------------
 
 
