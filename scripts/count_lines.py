@@ -2,7 +2,9 @@
 
 Source lines are every line of every module under src/schreier.  Code
 lines leave out blank lines, comment lines and docstrings (the string
-that opens a module, class or function body).
+that opens a module, class or function body).  One line per module
+comes first, so a change that moves code between modules shows apart
+from one that deletes it; the two package totals come last.
 
     python scripts/count_lines.py
 """
@@ -40,6 +42,7 @@ def main() -> int:
     source = code = 0
     for path in sorted(PACKAGE.glob("*.py")):
         s, c = count(path.read_text(encoding="utf-8"))
+        print(f"{path.name}: {s} source, {c} code")
         source += s
         code += c
     print(f"source lines: {source}")

@@ -98,12 +98,7 @@ def _run_enum(args) -> Result:
 def _run_section(args) -> Result:
     spec = parse_family(args.family)
     win = _window(args)
-    probe = win
-    if args.at not in win:
-        # the at point may sit below the window holding the section sets
-        ground = tuple(sorted(set(win.ground) | {args.at}))
-        probe = Window(min(win.lo, args.at), win.hi, ground)
-    return _listing(spec, win, section(spec, args.at, probe), at=args.at)
+    return _listing(spec, win, section(spec, args.at, win), at=args.at)
 
 
 def _run_canon(args) -> Result:

@@ -23,12 +23,14 @@ Membership predicates use the infinite ground line: a star test asks for an
 extension somewhere in the naturals, not merely inside a window.  Windowed
 enumeration is exhaustive over the window's ground set: a prefix walk,
 by residual for the system families (pruned by the count rows) and the
-natural union levels, else pruned by the union step or the star test,
-lists it level by level in shortlex order, except that a custom kind with
-no star test filters every subset; closures computed on a window only
-count witnesses inside the window (documented on the operations).  The
-searches and the containment checks instead grow one frontier of kept
-subsets an element at a time (_kept), bounded at _MAX_KEPT entries.
+natural union levels, by a first-child member test at the infinite union
+levels, else pruned by the star test, lists it level by level in shortlex
+order, except that a custom kind with no star test filters every subset.
+A section at any point m >= 1 lists the window's ground above m; closures
+computed on a window only count witnesses inside the window (documented
+on the operations).  The searches and the containment checks instead
+grow one frontier of kept subsets an element at a time (_kept), bounded
+at _MAX_KEPT entries.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from .finsets import (EMPTY, FinSet, Window, mask_of, shortlex_key,
-                      subsets_of)
+from .finsets import (EMPTY, FinSet, Window, as_finset, mask_of,
+                      shortlex_key, subsets_of)
 from .ordinals import (
     OMEGA,
     ZERO,
@@ -357,10 +359,9 @@ def enumerate_family(spec: FamilySpec, window: Window) -> List[FinSet]:
 
 
 def section(spec: FamilySpec, m: int, window: Window) -> List[FinSet]:
-    """The section at m: sets s > m with {m} union s a member, shortlex."""
-    if m not in window:
-        raise ValueError(f"{m} is not in the window ground set")
-    return _members(spec, window.tail(m), (m,))
+    """The section at m: sets s over the window's ground above m with
+    {m} union s a member, shortlex; m is any element (m < 1 raises)."""
+    return _members(spec, window.tail(m), as_finset((m,)))
 
 
 def star_closure(spec: FamilySpec, window: Window) -> List[FinSet]:
@@ -593,7 +594,8 @@ def _members(spec: FamilySpec, ground: Sequence[int],
     """The sets t over the ground list with head + t a member, shortlex.
 
     By the residual walk from head's residual for a system family or a
-    natural union level, else by the union step or the star test.
+    natural union level; at an infinite union level, by a prefix walk
+    that tests each member's first child; else by the star test.
     """
     _cap(len(ground))
     if spec._root is not None:
@@ -604,47 +606,25 @@ def _members(spec: FamilySpec, ground: Sequence[int],
             return [EMPTY] * bool(head) + _residual_walk(ground, r)
         return _residual_walk(ground, r, _member_counts(r, ground)[0], True)
     if spec.kind == "F" and not head:
-        return _level_walk(ground, *_union_step(spec.ordinal, ground), False)
+        # Prefix closure (see the union hierarchy above): no union member
+        # lies below a non-member.  Appended-element independence: for
+        # nonempty s, whether s + (x,) is a member does not depend on
+        # x > max s.  By induction on the level: at 0 two elements never
+        # are; at a successor the greedy blocks of s stay, only the last
+        # can absorb x, which by induction does not depend on x, and the
+        # block budget s[0] is unchanged; at a limit the approximant index
+        # runs to n <= s[0], also unchanged.  So a member's first child
+        # decides all of its children: a state is the member, or False.
+        n, member = len(ground), spec._member
+        return _level_walk(ground, EMPTY, lambda s, x, k: (
+            k + 1 < n and member(s + (x, ground[k + 1])) and s + (x,)
+            or False), False)
     if spec.kind == "custom" and spec.star_predicate is None:
         return [t for t in subsets_of(ground) if spec.member(head + t)]
     keep = spec.star  # prefix-closed: nothing is kept below a dropped head
     kept = _level_walk(
         ground, head, lambda s, x, k: t if keep(t := s + (x,)) else None, None)
     return [t for t in [EMPTY, *kept] if spec.member(head + t)]
-
-
-# Prefix closure (see the union hierarchy above): no union member lies
-# below a non-member.  Appended-element independence: for nonempty s,
-# whether s + (x,) is a member does not depend on x > max s.  By induction
-# on the level: at 0 two elements never are; at a successor the greedy
-# blocks of s stay, only the last can absorb x, which by induction does
-# not depend on x, and the block budget s[0] is unchanged; at a limit the
-# approximant index runs to n <= s[0], also unchanged.  So one test per
-# prefix, on its first child, decides all of its children.
-
-
-def _union_step(a, ground: Sequence[int]):
-    """Root state and step of the level-a walk over ground.
-
-    step(u, x, k) is the state of s + (x,), x = ground[k], for a member s
-    in state u, and False when its children are not members.  Levels 1 and
-    2 read x alone, from the state t[0] - len(t) or (t[0] - parts, part end
-    - len(t)) for the greedy parts, None at the root; elsewhere it is the
-    set, and the step asks the level's test from _resolve.  Only infinite
-    levels list by it; it also steps both sides of the shift transfer.
-    """
-    a, n = as_ordinal(a), len(ground)
-    if a == 1:
-        return None, lambda b, x, k: k + 1 < n and (x if b is None else b) - 1 or False
-    if a == 2:
-        def step(u, x, k):
-            b, r = u or (x, 0)  # the root opens a part with x parts to spend
-            u = (b, r - 1) if r else (b - 1, x - 1)
-            return u if k + 1 < n and u != (0, 0) else False
-        return None, step
-    member = FamilySpec("F", a)._star  # on nonempty sets, the member test
-    return EMPTY, lambda s, x, k: (k + 1 < n and member(s + (x, ground[k + 1]))
-                                   and s + (x,) or False)
 
 
 def enumerate_union_schreier(a, window: Window) -> List[FinSet]:

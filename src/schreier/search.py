@@ -7,7 +7,8 @@ an exhausted window is reported as a negative, never as a disproof.
 Candidates extend in lexicographic-increasing order throughout, so runs
 are reproducible without any seed plumbing.  A search whose frontier of
 kept subsets (families._kept) would pass families._MAX_KEPT entries
-raises ValueError.
+raises ValueError; so does one whose certificate's check lists subsets
+of the witness, at a target over 25 (families._cap), before it starts.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from .certificates import Certificate, hereditary_predicate, make_certificate
 from .colorings import Coloring
 from .families import (
     FamilySpec,
+    _cap,
     _down_test,
     _kept,
     _member_counts,
-    _union_step,
     check_sperner,
     parse_family,
 )
@@ -66,24 +67,21 @@ def _lex_first(ground: Sequence[int], target: int, admit, state=None):
 
     admit(partial, e, state) returns (ok, state'); e joins partial only
     when ok, carrying state' into the deeper search.  Returns (L, state)
-    or None when the ground is exhausted.
+    or None when the ground is exhausted.  It backtracks on a stack of
+    (partial, state, next index) frames, so a deep target does not recurse.
     """
-    n = len(ground)
-
-    def pick(partial, state, start):
+    stack = [((), state, 0)]
+    while stack:
+        partial, state, i = stack.pop()
         if len(partial) == target:
             return partial, state
-        need = target - len(partial)
-        for i in range(start, n - need + 1):
-            e = ground[i]
-            ok, next_state = admit(partial, e, state)
+        for i in range(i, len(ground) - target + len(partial) + 1):
+            ok, next_state = admit(partial, e := ground[i], state)
             if ok:
-                hit = pick(partial + (e,), next_state, i + 1)
-                if hit is not None:
-                    return hit
-        return None
-
-    return pick((), state, 0)
+                stack.append((partial, state, i + 1))
+                stack.append((partial + (e,), next_state, i + 1))
+                break
+    return None
 
 
 # -- homogeneity ------------------------------------------------------
@@ -100,6 +98,7 @@ def homogenize(spec: FamilySpec, coloring: Coloring, window: Window,
     """
     if target < 1:
         raise ValueError("target must be at least 1")
+    _cap(target)
     admit, root = _homogenize_admit(spec, coloring)
     hit = _lex_first(window.ground, target, admit, root)
     if hit is None:
@@ -158,6 +157,7 @@ def sperner_refine(spec: FamilySpec, window: Window,
     """
     if target < 1:
         raise ValueError("target must be at least 1")
+    _cap(target)
 
     def admit(partial, e, state):
         L = partial + (e,)
@@ -201,6 +201,7 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     _probe_hereditary(hered_desc)
     if not 1 <= target <= len(window.ground):
         raise ValueError("target outside the window")
+    _cap(target)
     step_a, root_a = _every(spec, hered)
     step_b, root_b = _every(hered,
                             lambda t: spec.star(t) and not spec.member(t))
@@ -253,6 +254,7 @@ def rank_separation(xi1, xi2, window: Window,
         raise ValueError("separation needs xi1 < xi2")
     if not 1 <= target <= len(window.ground):
         raise ValueError("target outside the window")
+    _cap(target)
 
     # homogenize's admit with the colour fixed at True: every level-xi1
     # member must be a proper initial segment of a level-xi2 member
@@ -336,6 +338,28 @@ def _as_level(xi) -> int:
     return n
 
 
+def _union_check(level: int, n: int):
+    """The level's block rule as a step over a ground of n elements.
+
+    step(u, x, k) is the state of s + (x,), x = ground[k], for a member s
+    in state u (None at the root), or False when no child of s + (x,) is a
+    member.  It reads neither set nor residual: every singleton is a level-0
+    leaf; level 1 keeps t[0] - len(t), level 2 (t[0] - parts, part end -
+    len(t)) for the greedy parts.
+    """
+    if level == 0:
+        return lambda u, x, k: False
+    if level == 1:
+        return lambda b, x, k: k + 1 < n and (x if b is None else b) - 1 or False
+
+    def step(u, x, k):
+        b, r = u or (x, 0)  # the root opens a part with x parts to spend
+        u = (b, r - 1) if r else (b - 1, x - 1)
+        return u if k + 1 < n and u != (0, 0) else False
+
+    return step
+
+
 # The transfer memo's limit in row cells.  Level 2 fits up to [1,54] and
 # level 1 up to about [1,1025], at 4-7 s and 150 MiB on a 2-vCPU VM.
 _TRANSFER_CELLS = 1 << 20
@@ -397,19 +421,18 @@ def _transfer_containments(level: int, window: Window):
     every initial segment of a benchmark member witnessed inside the
     window and requires it back in the union level; the empty prefix is
     skipped, as the union levels consist of nonempty sets.  Each side is
-    counted by product state, not set by set.
+    counted by product state, not set by set.  Both read the union level
+    by its block rule (_union_check), never by the benchmark's residual.
     """
     ground = window.ground
     if len(ground) < 3:
         raise ValueError("window too small to drop two elements")
     L = ground[2:]
-    level_ord = as_ordinal(level)
-    sys_ord = omega_power(level_ord)
+    sys_ord = omega_power(as_ordinal(level))
     # spread side: the union walk over positions carries its spread's
     # residual, which is stuck below a node whose residual is already 0
-    positions = range(1, len(L) + 1)
-    root, step = _union_step(level_ord, positions)
-    spread = _product_count(positions, root, step, sys_ord,
+    spread = _product_count(range(1, len(L) + 1), None,
+                            _union_check(level, len(L)), sys_ord,
                             lambda r, _, m: descend(r, L[m]), ZERO)
     if isinstance(spread, tuple):
         return {"ok": False,
@@ -425,8 +448,8 @@ def _transfer_containments(level: int, window: Window):
         d = descend(r, x)
         return False if d is ZERO else d
 
-    root, step = _union_step(level_ord, ground)
-    closure = _product_count(ground, sys_ord, witnessed, root, step, False)
+    closure = _product_count(ground, sys_ord, witnessed, None,
+                             _union_check(level, len(ground)), False)
     if isinstance(closure, tuple):
         return {"ok": False, "reason": f"prefix {closure} escapes the union level"}
     return {"ok": True, "spread_checked": spread, "closure_checked": closure,

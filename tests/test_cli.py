@@ -88,6 +88,15 @@ def test_section_inside_window(capsys):
     assert doc["members"] == [[3], [4], [5], [6]]
 
 
+def test_section_above_window(capsys):
+    # the section is defined at every point: above the window only the
+    # empty set can continue {100} to a member of A:1
+    rc, out, _ = run(capsys, "section", "--family", "A:1", "--at", "100",
+                     "--window", "1..20")
+    assert rc == 0
+    assert out.splitlines() == ["{}"]
+
+
 # -- canonical form, rank, index --------------------------------------
 
 
@@ -280,6 +289,21 @@ def test_separate_bad_order(capsys):
     rc, _, err = run(capsys, "separate", "--lower", "w", "--upper", "2",
                      "--window", "1..30")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("dichotomy", "--hereditary", "all", "--family", "A:w", "--window",
+     "1..40", "--target", "26"),
+    ("separate", "--lower", "1", "--upper", "2", "--window", "1..40",
+     "--target", "26"),
+    ("homogenize", "--family", "A:1", "--coloring", "parity-sum", "--window",
+     "1..60", "--target", "26"),
+], ids=["dichotomy", "separate", "homogenize"])
+def test_search_target_over_the_cap_is_usage_error(capsys, argv):
+    # these printed certificates that verify rejects, or a traceback
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "cap 25" in err
 
 
 def test_chain(capsys):

@@ -167,9 +167,25 @@ def test_section_law(xi_text, m):
     assert got == expect
 
 
-def test_section_rejects_outside_ground():
-    with pytest.raises(ValueError):
-        section(FamilySpec(kind="A", ordinal=OMEGA), 9, Window(1, 8))
+def test_section_at_any_point():
+    # the section at m is defined for every m >= 1: it lists the window's
+    # ground above m as the window with m added to its ground does, for m
+    # below, inside, between and above the ground
+    for w in (Window(3, 16, (3, 5, 6, 9, 10, 12, 15, 16)),
+              Window(2, 20, (2, 4, 7, 8, 13, 14, 19))):
+        for text in ("A:2", "A:w", "A:w*2+1", "B:1", "B:2", "F:2", "F:w",
+                     "exL", "ex112"):
+            spec = parse_family(text)
+            for m in (1, 2, 3, 4, 7, 11, 16, 20, 40):
+                wider = Window(min(w.lo, m), max(w.hi, m),
+                               tuple(sorted(set(w.ground) | {m})))
+                got = section(spec, m, w)
+                assert got == section(spec, m, wider), (text, m)
+                assert got == [t for t in finsets.subsets_of(w.tail(m))
+                               if spec.member((m,) + t)], (text, m)
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            section(FamilySpec(kind="A", ordinal=OMEGA), m, Window(1, 8))
 
 
 # -- union hierarchy --------------------------------------------------

@@ -5,8 +5,8 @@
 oracles hold the listings to their answers: the kept-subset frontier
 that the searches grow, folded over the ground list by the star test,
 and the filter that tests every subset of the ground list.  The union
-levels get a third oracle that reads no union step: F:a is the star of
-B:a without the empty set.
+levels get a third oracle: F:a is the star of B:a without the empty
+set.
 """
 
 import random
@@ -118,12 +118,12 @@ def test_system_star_closure_matches_both_oracles(text, w):
 def test_union_listing_walks_the_residual_of_w_to_the_level(monkeypatch, level,
                                                             hi, members):
     # a natural level lists by the residual of w^level, one memo read per
-    # child: no union step and no walk from the root, and once the memo is
+    # child: no step walk and no walk from the root, and once the memo is
     # warm no descend either
     def refuse(*args):
         raise AssertionError("the listing left the residual walk")
 
-    monkeypatch.setattr(families, "_union_step", refuse)
+    monkeypatch.setattr(families, "_level_walk", refuse)
     monkeypatch.setattr(families, "residual_after", refuse)
     w = Window(1, hi)
     got = enumerate_union_schreier(level, w)

@@ -596,6 +596,43 @@ def test_separation_rejects_bad_order():
         rank_separation(2, 2, Window(1, 20))
 
 
+# -- the witness cap ---------------------------------------------------
+#
+# The Homogeneous, Dichotomy and Sperner checks list the witness's
+# subsets and refuse a witness over families._cap's 25 elements, so the
+# searches that build those certificates refuse such a target first.
+
+CAPPED_SEARCHES = {
+    "homogenize": lambda t: homogenize(
+        parse_family("A:1"), get_coloring("parity-sum"), Window(1, 60), t),
+    "sperner_refine": lambda t: sperner_refine(
+        parse_family("A:2"), Window(1, 40), t),
+    "hereditary_dichotomy": lambda t: hereditary_dichotomy(
+        "down:F:1", parse_family("exL"), Window(1, 40), target=t),
+    "rank_separation": lambda t: rank_separation(1, 2, Window(1, 40), t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_SEARCHES))
+def test_search_refuses_a_target_its_check_refuses(monkeypatch, name):
+    # each of these returned a certificate that verify_certificate
+    # rejected, or raised the cap error from inside an admit
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(search, "_lex_first", refuse)
+    with pytest.raises(ValueError, match=r"26 elements .*\(cap 25\)"):
+        CAPPED_SEARCHES[name](26)
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_SEARCHES))
+def test_search_at_the_cap_verifies(name):
+    got = CAPPED_SEARCHES[name](25)
+    for cert in got if isinstance(got, list) else [got]:
+        assert len(cert.witness) == 25
+        assert verify_certificate(cert) == (True, "ok")
+
+
 # -- detect_chain -----------------------------------------------------
 
 
@@ -647,6 +684,54 @@ def test_chain_rejects_a_thin_member_form_above_small_windows():
     # chain whose first link (20,) is not a member of A:w
     with pytest.raises(ValueError, match="not hereditary"):
         detect_chain("member:A:w", Window(20, 60), 20)
+
+
+def test_chain_deeper_than_the_recursion_limit():
+    # _lex_first recursed once per element: this raised RecursionError
+    cert = detect_chain("down:F:1", Window(1, 3000), 1200)
+    assert cert.witness == tuple(range(1199, 2398))
+    assert verify_certificate(cert) == (True, "ok")
+
+
+def recursive_lex_first(ground, target, admit, state=None):
+    """_lex_first as the recursion it replaced, kept as its oracle."""
+    n = len(ground)
+
+    def pick(partial, state, start):
+        if len(partial) == target:
+            return partial, state
+        need = target - len(partial)
+        for i in range(start, n - need + 1):
+            e = ground[i]
+            ok, next_state = admit(partial, e, state)
+            if ok:
+                hit = pick(partial + (e,), next_state, i + 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    return pick((), state, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ground=st.sets(st.integers(1, 14), max_size=12),
+       target=st.integers(0, 7), seed=st.integers(0, 2**32),
+       odds=st.integers(2, 5))
+def test_lex_first_matches_the_recursion(ground, target, seed, odds):
+    # a random admit rule, fixed by its arguments: both searches must make
+    # the same admit calls in the same order and return the same hit
+    ground = tuple(sorted(ground))
+
+    def run(search_fn):
+        calls = []
+
+        def admit(partial, e, state):
+            calls.append((partial, e, state))
+            return hash((seed, partial, e, state)) % odds != 0, state + e
+
+        return search_fn(ground, target, admit, 0), calls
+
+    assert run(_lex_first) == run(recursive_lex_first)
 
 
 def backtracking_chain(desc, window, depth):
@@ -833,6 +918,40 @@ def test_transfer_escape_matches_walk(monkeypatch, xi_text, level, window):
     monkeypatch.setattr(search, "omega_power", lambda a: xi)
     assert (search._transfer_containments(level, window)
             == walked_transfer(level, window, xi))
+
+
+@pytest.mark.parametrize("ground", [tuple(range(1, 15)),
+                                    (2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17)],
+                         ids=["interval", "thinned"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_union_check_matches_the_block_greedy(level, ground):
+    # a set is a level member when no step of the check starts from a leaf
+    step = search._union_check(level, len(ground))
+    for s in subsets_of(ground):
+        if not s:
+            continue
+        u, from_leaf = None, False
+        for x in s:
+            if u is False:
+                from_leaf = True
+                break
+            u = step(u, x, ground.index(x))
+        assert _greedy_covers(from_int(level), s, {}) != from_leaf, s
+
+
+def test_transfer_level_zero_reads_no_residual(monkeypatch):
+    # the spread side's level-0 step asked the residual of B:0 whether
+    # each pair is a member: 15 residual_after calls on [1,18]
+    calls = []
+    real = families.residual_after
+    monkeypatch.setattr(families, "residual_after",
+                        lambda *a: calls.append(a) or real(*a))
+    cert = schreier_transfer(0, Window(1, 18))
+    assert calls == []
+    assert cert.witness == tuple(range(3, 19))
+    assert cert.payload_dict() == {
+        "assume_dense": False, "closure_checked": 18, "dropped": [1, 2],
+        "spread_checked": 16, "variant": "shift", "xi": "0"}
 
 
 def test_transfer_level_zero_trivial():
