@@ -3,14 +3,14 @@
 Every search emits a certificate binding its witness, family, window and
 outcome under a transcript hash.  Verification recomputes the hash first
 (any mutation is rejected before semantics are consulted), then requires
-the witness inside the window's ground, then re-checks the claim.  The
-Homogeneous and Sperner checks list the family's members inside the
-witness with enumerate_family, and the Dichotomy check grows the searches'
-frontier, families._kept, over the witness; these three refuse a witness
-over families._cap's 25 elements before listing any set, and the frontier
-refuses past families._MAX_KEPT kept subsets, as the search would.  A
-Transfer certificate is rebuilt from its record by the builder the search
-uses and must match it.
+the witness inside the window's ground, then re-checks the claim by the
+rule the search applied: the Homogeneous and Dichotomy checks fold the
+search's admit over the witness, the Sperner check and search both apply
+check_sperner, and a Transfer certificate is rebuilt by its builder.  The
+first three refuse a witness over families._cap's 25 elements, and a fold
+refuses past families._MAX_KEPT kept subsets, as the search would.  Each
+check also reads the other fields its search records (a branch, an op, a
+palette), so a record no search writes is refused.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .colorings import Coloring, get_coloring, hash_coloring
-from .families import (FamilySpec, _cap, _down_test, _kept, check_sperner,
-                       enumerate_family, parse_family)
-from .finsets import EMPTY, FinSet, Window, as_finset
-from .ordinals import ZERO
+from .families import _cap, _down_test, check_sperner, parse_family
+from .finsets import FinSet, Window, as_finset
 
 CERT_KINDS = (
     "Homogeneous",
@@ -154,19 +152,15 @@ def hereditary_predicate(desc: str) -> Callable[[FinSet], bool]:
 
 
 def _verify_homogeneous(cert: Certificate, coloring: Optional[Coloring]):
+    from .search import _homogenize_admit  # search imports this module
     p = cert.payload_dict()
-    w = cert.witness
-    try:
-        spec = parse_family(cert.family)
-        members = enumerate_family(spec, Window(w[0], w[-1], w)) if w else []
-    except ValueError as e:
-        return False, str(e)
     color = p.get("color")
     name = p.get("coloring", "")
     colors = p.get("colors", 2)
-    # bool is an int subclass, so test the exact type
-    if type(colors) is not int or colors < 1:
-        return False, f"colors must be an integer >= 1, got {colors!r}"
+    if p.get("order", "lex") != "lex":
+        return False, f"order must be 'lex', got {p.get('order')!r}"
+    if type(color) is not int:  # None would leave the fold's colour open
+        return False, f"color must be an integer, got {color!r}"
     if not isinstance(name, str):
         return False, f"coloring must be a name, got {name!r}"
     if coloring is None:
@@ -179,53 +173,56 @@ def _verify_homogeneous(cert: Certificate, coloring: Optional[Coloring]):
                 coloring = get_coloring(name, int(p.get("seed", 0)))
         except (TypeError, ValueError) as e:
             return False, str(e)
-    for s in members:  # shortlex; the empty set, A:0's member, is uncoloured
-        if s and coloring(s) != color:
-            return False, f"member {s} has color {coloring(s)}, expected {color}"
-    return True, "ok"
-
-
-def _verify_dichotomy(cert: Certificate):
-    branch = cert.kind[-1]  # DichotomyBranchA or DichotomyBranchB
-    desc = cert.payload_dict().get("hereditary", "")
+    # bool is an int subclass, so test the exact type
+    if type(colors) is not int or colors != coloring.colors:
+        return False, (f"colors {colors!r} disagrees with {coloring.name}'s "
+                       f"palette of {coloring.colors}")
+    w = cert.witness
     try:
-        _cap(len(cert.witness))
-        spec = parse_family(cert.family)
-        # A keeps by the family, whose star test is its subset closure; B
-        # by the predicate, or by a (thin) member: form's family, parsed
-        # once with its test.  A kept A:/B: set carries its residual.
-        if isinstance(desc, str) and desc.startswith("member:"):
-            keep = parse_family(desc[len("member:"):])
-            hered = keep.member
-        else:  # CertificateError is a ValueError
-            hered = keep = hereditary_predicate(desc)
-        if branch == "A":
-            _down_test(spec)  # ex112 has no subset closure
-            keep = spec
-        grow, frontier = _kept(keep)
-
-        def kept_sets(frontier):
-            # the empty set, when kept (a star test keeps it), then the
-            # sets each element grows
-            if isinstance(keep, FamilySpec) or keep(EMPTY):
-                yield EMPTY, None
-            for x in cert.witness:
-                grown, frontier = grow(frontier, x)
-                yield from grown
-
-        for t, r in kept_sets(frontier):
-            if branch == "A" and not hered(t):
-                return False, f"{t} is in the subset closure but outside the target"
-            # a member: form's residual is 0 exactly at its members
-            if (branch == "B" and (hered(t) if r is None else r is ZERO)
-                    and not (spec.star(t) and not spec.member(t))):
-                return False, f"{t} is not a proper initial segment of a member"
+        _cap(len(w))
+        # homogenize's admit from the recorded colour; a refusal's state
+        # is the first member whose colour differs
+        admit, root = _homogenize_admit(parse_family(cert.family), coloring)
+        s = (color, root[1])
+        for i, x in enumerate(w):
+            ok, s = admit(w[:i], x, s)
+            if not ok:
+                return False, f"member {s} has color {coloring(s)}, expected {color}"
     except ValueError as e:
         return False, str(e)
     return True, "ok"
 
 
+def _verify_dichotomy(cert: Certificate):
+    from .search import _branch, _probe_hereditary  # search imports this module
+    p = cert.payload_dict()
+    branch, desc = cert.kind[-1], p.get("hereditary", "")
+    if p.get("branch") != branch:
+        return False, f"branch {p.get('branch')!r} disagrees with {cert.kind}"
+    try:
+        _cap(len(cert.witness))
+        spec = parse_family(cert.family)
+        step, state = _branch(branch, desc, spec)
+        # only rank_separation records an op, and a thin member: form
+        if "op" not in p:
+            _probe_hereditary(desc)
+        elif not (p["op"] == "rank-separation" and branch == "B"
+                  and spec.kind == "A" and desc.startswith("member:A:")):
+            return False, f"op {p['op']!r} does not fit {cert.kind} on {desc}"
+        for x in cert.witness:
+            state = step(state, x)
+    except ValueError as e:
+        return False, str(e)
+    if state.__class__ is list:
+        return True, "ok"
+    if branch == "A":
+        return False, f"{state} is in the subset closure but outside the target"
+    return False, f"{state} is not a proper initial segment of a member"
+
+
 def _verify_sperner(cert: Certificate):
+    if cert.payload_dict().get("op") != "sperner-refine":
+        return False, "op must be 'sperner-refine'"
     w = cert.witness
     try:
         spec = parse_family(cert.family)
@@ -239,11 +236,15 @@ def _verify_sperner(cert: Certificate):
 
 
 def _verify_chain(cert: Certificate):
+    from .search import _probe_hereditary  # search imports this module
     p = cert.payload_dict()
     try:
         hered = hereditary_predicate(p.get("hereditary", ""))
+        _probe_hereditary(p["hereditary"])
     except ValueError as e:  # CertificateError, or no test for the family
         return False, str(e)
+    if cert.family != p["hereditary"]:
+        return False, "family disagrees with the recorded predicate"
     try:
         links = [as_finset(s) for s in p.get("chain", ())]
     except (TypeError, ValueError) as e:

@@ -29,6 +29,12 @@ class Coloring:
     colors: int = 2
     name: str = "custom"
 
+    def __post_init__(self):
+        # bool is an int subclass, so test the exact type
+        if type(self.colors) is not int or self.colors < 1:
+            raise ValueError(
+                f"colors must be an integer >= 1, got {self.colors!r}")
+
     def __call__(self, s: Iterable[int]) -> int:
         c = self.oracle(as_finset(s))
         if not 1 <= c <= self.colors:

@@ -124,7 +124,8 @@ def _homogenize_admit(spec: FamilySpec, coloring):
     frontier keeps the star sets, which hold every member; a custom kind
     without a star test keeps every set.  Appending e colours each kept
     s + (e,) that is a member, at residual 0 or by the member test, and
-    is refused at the first colour that differs.
+    is refused at the first colour that differs, that member its state.
+    The Homogeneous check folds this rule from the recorded colour.
     """
     keep = spec if spec.kind != "custom" or spec.star_predicate else (
         lambda t: True)
@@ -136,10 +137,9 @@ def _homogenize_admit(spec: FamilySpec, coloring):
         for t, r in grown:
             if r is ZERO or r is None and spec.member(t):
                 col = coloring(t)
-                if color is None:
-                    color = col
-                elif col != color:
-                    return False, state
+                color = col if color is None else color
+                if col != color:
+                    return False, t
         return True, (color, frontier)
 
     return admit, (None, root)
@@ -189,26 +189,21 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
 
     The predicate must be hereditary, and this is decided on hered_desc,
     whatever the window: ``all``, every ``down:`` form and the ``member:``
-    forms of ``F:<level>``, ``A:0``, ``A:1`` and ``B:0`` are accepted.
-    Every other ``member:`` form names a thin family with a member of two
-    or more elements and raises ValueError.  Branch A reads the family's
-    subset closure, which is its star test for every ``A:``, ``B:``,
-    ``F:``, ``exL`` and ``exR`` spec; ex112 and custom specs have none and
-    raise ValueError before that decision.
+    forms of ``F:<level>``, ``A:0``, ``A:1`` and ``B:0`` are accepted;
+    every other ``member:`` form raises ValueError.  Branch A reads the
+    family's subset closure, its star test; ex112 and custom specs have
+    none and raise ValueError before that decision.
     """
-    hered = hereditary_predicate(hered_desc)
-    _down_test(spec)  # ex112 and custom raise before the probe
+    step_a, root_a = _branch("A", hered_desc, spec)  # ex112 and custom raise
     _probe_hereditary(hered_desc)
     if not 1 <= target <= len(window.ground):
         raise ValueError("target outside the window")
     _cap(target)
-    step_a, root_a = _every(spec, hered)
-    step_b, root_b = _every(hered,
-                            lambda t: spec.star(t) and not spec.member(t))
+    step_b, root_b = _branch("B", hered_desc, spec)
 
     def admit(partial, e, state):
         a, b = step_a(state[0], e), step_b(state[1], e)
-        return a is not None or b is not None, (a, b)
+        return a.__class__ is list or b.__class__ is list, (a, b)
 
     hit = _lex_first(window.ground, target, _budgeted(admit), (root_a, root_b))
     if hit is None:
@@ -217,7 +212,7 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     base = {"hereditary": hered_desc, "target": target}
     return [make_certificate(f"DichotomyBranch{b}", spec.literal(), window, L,
                              dict(base, branch=b))
-            for b, frontier in zip("AB", branches) if frontier is not None]
+            for b, frontier in zip("AB", branches) if frontier.__class__ is list]
 
 
 _MAX_ADMITS = 50_000  # per dichotomy or large-index transfer search
@@ -232,40 +227,68 @@ def _budgeted(admit):
 
 def _every(keep, ok):
     """Step and root state for "every subset of the partial set that keep
-    keeps passes ok": a _kept frontier, or None once a check failed."""
+    keeps passes ok(t, r)", r its _kept residual: a _kept frontier (a
+    list), or, once a check failed, the first kept set that failed."""
     grow, root = _kept(keep)
 
-    def step(frontier, e):
-        if frontier is None:
-            return None
-        grown, frontier = grow(frontier, e)
-        return frontier if all(map(ok, [t for t, _ in grown])) else None
+    def step(state, e):
+        if state.__class__ is tuple:
+            return state
+        grown, frontier = grow(state, e)
+        return next((t for t, r in grown if not ok(t, r)), frontier)
 
+    r = root[0][1] if root else ZERO  # the empty set's residual
     kept = isinstance(keep, FamilySpec) or keep(EMPTY)  # a star test keeps ()
-    return step, None if kept and not ok(EMPTY) else root
+    return step, EMPTY if kept and not ok(EMPTY, r) else root
+
+
+def _branch(branch: str, desc, spec: FamilySpec):
+    """_every's step and root state for dichotomy branch A or B.
+
+    A keeps the family's subset closure and checks each set is in the
+    predicate desc names.  B keeps the predicate's sets, or a ``member:``
+    form's star sets and checks only its members, and checks each is a
+    proper initial segment of a family member.  The searches step by this
+    rule and the Dichotomy check folds it over the witness.
+    """
+    if isinstance(desc, str) and desc.startswith("member:"):
+        form = parse_family(desc[len("member:"):])
+        hered = form.member
+    else:  # CertificateError, a ValueError, for a malformed desc
+        form = hered = hereditary_predicate(desc)
+    if branch == "A":
+        _down_test(spec)
+        return _every(spec, lambda t, r: hered(t))
+    xi = spec.system_ordinal()
+    proper = ((lambda t: _walk(xi, t)[0] is not ZERO) if xi is not None
+              else lambda t: spec.star(t) and not spec.member(t))
+    if form is hered:
+        return _every(form, lambda t, r: proper(t))
+    # a kept star set is a member at residual 0, or by the member test
+    return _every(form, lambda t, r: not (r is ZERO or r is None and hered(t))
+                  or proper(t))
 
 
 def rank_separation(xi1, xi2, window: Window,
                     target: int = 6) -> Optional[Certificate]:
     """Find L where every level-xi1 member is a proper initial segment of
-    a level-xi2 member.  Requires xi1 < xi2."""
+    a level-xi2 member.  Requires xi1 < xi2.  This is _branch's branch B
+    for member:A:xi1 against A:xi2."""
     xi1, xi2 = as_ordinal(xi1), as_ordinal(xi2)
     if compare(xi1, xi2) >= 0:
         raise ValueError("separation needs xi1 < xi2")
     if not 1 <= target <= len(window.ground):
         raise ValueError("target outside the window")
     _cap(target)
-
-    # homogenize's admit with the colour fixed at True: every level-xi1
-    # member must be a proper initial segment of a level-xi2 member
-    admit, (_, root) = _homogenize_admit(
-        FamilySpec("A", xi1), lambda t: _walk(xi2, t)[0] is not ZERO)
-    hit = _lex_first(window.ground, target, admit, (True, root))
+    desc = f"member:A:{format_ordinal(xi1)}"
+    step, root = _branch("B", desc, FamilySpec("A", xi2))
+    hit = _lex_first(window.ground, target, lambda partial, e, state: (
+        (state := step(state, e)).__class__ is list, state), root)
     if hit is None:
         return None
     L, _ = hit
     payload = {
-        "hereditary": f"member:A:{format_ordinal(xi1)}",
+        "hereditary": desc,
         "branch": "B",
         "op": "rank-separation",
         "target": target,
@@ -282,11 +305,8 @@ def detect_chain(hered_desc: str, window: Window,
     contained, so single-element growth steps lose no generality: a chain
     of any step sizes yields one through the prefixes of its last link.
 
-    Heredity is decided on hered_desc, whatever the window: ``all``,
-    every ``down:`` form and the ``member:`` forms of ``F:<level>``,
-    ``A:0``, ``A:1`` and ``B:0`` are accepted.  Every other ``member:``
-    form names a thin family with a member of two or more elements, whose
-    nonempty proper prefixes are not members, and raises ValueError.
+    Heredity is decided on hered_desc, whatever the window, as for
+    hereditary_dichotomy; an unhereditary ``member:`` form raises.
 
     A candidate e is admitted when partial + (e,), padded to the chain's
     length with the largest ground elements, is in the family.  The chain
@@ -556,7 +576,7 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     level = _as_level(xi)
     H = hereditary_predicate(into_desc)
     lift = _transfer_route(level, sigma) == "lift"
-    pred = (lambda t: not t or H(t[1:])) if lift else H
+    pred = (lambda t, r: not t or H(t[1:])) if lift else lambda t, r: H(t)
     drop = 4 if lift else 2
     step, root = _every(FamilySpec("B", as_ordinal(level)), pred)
     size = target + drop
@@ -568,7 +588,7 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
         # monotone, so the spread check waits for the last element
         frontier = step(frontier, e)
         L = (partial + (e,))[drop:]
-        return frontier is not None and (
+        return frontier.__class__ is list and (
             len(partial) + 1 < size or _spread_into(level, L, H)[1] is None
         ), frontier
 

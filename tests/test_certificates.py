@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schreier import certificates, finsets
+from schreier import certificates, finsets, search
 from schreier.certificates import (
     CERT_KINDS,
     Certificate,
@@ -573,7 +573,158 @@ def test_dichotomy_member_form_parsed_once(monkeypatch):
     assert cert.payload_dict()["hereditary"] == "member:A:w"
     parsed = []
     real = certificates.parse_family
-    monkeypatch.setattr(certificates, "parse_family",
-                        lambda text: parsed.append(text) or real(text))
+    for module in (certificates, search):
+        monkeypatch.setattr(module, "parse_family",
+                            lambda text: parsed.append(text) or real(text))
     assert verify_certificate(cert) == (True, "ok")
     assert parsed == ["A:w^2", "A:w"]
+
+
+# -- each check reads every field its search records --------------------
+#
+# Each record below is re-hashed, so only the claim check can refuse it,
+# and each is one that no search writes.
+
+
+def forged(cert, **changes):
+    return make_certificate(cert.kind, cert.family, cert.window, cert.witness,
+                            dict(cert.payload_dict(), **changes))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("branch", "B"), ("branch", "Q"), ("branch", None),
+    ("op", "rank-separation"), ("op", None)])
+def test_dichotomy_check_reads_branch_and_op(key, value):
+    cert = _dichotomy("A")
+    assert "op" not in cert.payload_dict()
+    ok, reason = verify_certificate(forged(cert, **{key: value}))
+    assert not ok and key in reason, reason
+
+
+def test_dichotomy_check_reads_the_separation_op():
+    cert = rank_separation(parse_ordinal("2"), parse_ordinal("w"),
+                           Window(1, 20))
+    assert verify_certificate(cert) == (True, "ok")
+    for changes in ({"op": "anything"}, {"hereditary": "down:A:2"}):
+        ok, reason = verify_certificate(forged(cert, **changes))
+        assert not ok and "op" in reason, reason
+    # the op on a branch-B record of a family that is not A:
+    branch_b = _dichotomy("B")
+    ok, reason = verify_certificate(forged(
+        branch_b, op="rank-separation", hereditary="member:A:1"))
+    assert not ok and "op" in reason, reason
+
+
+def test_dichotomy_check_probes_heredity():
+    record = make_certificate(
+        "DichotomyBranchB", "exL", Window(1, 5), (1, 2, 3),
+        {"hereditary": "member:A:2", "branch": "B", "target": 3})
+    ok, reason = verify_certificate(record)
+    assert not ok and "not hereditary" in reason
+    with pytest.raises(ValueError, match="not hereditary"):
+        hereditary_dichotomy("member:A:2", parse_family("exL"), Window(1, 5),
+                             3)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("order", "colex"), ("order", None), ("colors", 3), ("colors", 1),
+    ("color", None), ("color", 1.0), ("color", "1"), ("color", True)])
+def test_homogeneous_check_reads_order_palette_and_color(key, value):
+    # a None colour would leave the fold free to take the first member's
+    cert = homogenize(parse_family("A:2"), get_coloring("parity-sum"),
+                      Window(1, 20), 4)
+    assert verify_certificate(cert) == (True, "ok")
+    ok, reason = verify_certificate(forged(cert, **{key: value}))
+    assert not ok and key in reason, reason
+
+
+def test_homogeneous_palette_matches_a_supplied_coloring():
+    cert = three_colour_cert(0)
+    assert verify_certificate(cert, hash_coloring(0, 3)) == (True, "ok")
+    ok, reason = verify_certificate(cert, hash_coloring(0))
+    assert not ok and "palette" in reason, reason
+
+
+@pytest.mark.parametrize("op", ["anything", None])
+def test_sperner_check_reads_op(op):
+    cert = sperner_refine(parse_family("ex112"), Window(1, 25), 6)
+    assert verify_certificate(cert) == (True, "ok")
+    ok, reason = verify_certificate(forged(cert, op=op))
+    assert not ok and "op" in reason, reason
+
+
+def test_chain_check_probes_heredity():
+    record = make_certificate(
+        "Chain", "member:exL", Window(1, 5), (1, 2, 3),
+        {"hereditary": "member:exL", "depth": 1, "chain": [[1, 2, 3]]})
+    ok, reason = verify_certificate(record)
+    assert not ok and "not hereditary" in reason
+    with pytest.raises(ValueError, match="not hereditary"):
+        detect_chain("member:exL", Window(1, 5), 1)
+
+
+def test_chain_check_reads_family():
+    cert = detect_chain("down:A:3", Window(1, 12), 4)
+    record = make_certificate("Chain", "down:A:2", cert.window, cert.witness,
+                              cert.payload_dict())
+    ok, reason = verify_certificate(record)
+    assert not ok and "family" in reason, reason
+
+
+# -- every certificate a search returns verifies ------------------------
+
+HOMOGENIZE_FAMILIES = ["A:0", "A:1", "A:2", "A:3", "A:w", "A:w+1", "B:1",
+                       "F:1", "F:2", "exL", "exR", "ex112"]
+DICHOTOMY_PREDICATES = ["all", "down:A:1", "down:A:2", "down:F:1",
+                        "down:exL", "down:exR", "down:A:w", "member:F:1",
+                        "member:A:0", "member:A:1", "member:B:0"]
+DICHOTOMY_FAMILIES = ["A:1", "A:2", "A:w", "A:w+2", "B:1", "F:1", "F:2",
+                      "exL", "exR"]
+SEPARATION_PAIRS = [("0", "1"), ("1", "2"), ("2", "w"), ("w", "w+1"),
+                    ("w", "w*2"), ("w", "w^2")]
+grounds = st.sets(st.integers(1, 16), min_size=3, max_size=11).map(
+    lambda g: tuple(sorted(g)))
+
+
+@st.composite
+def searches(draw):
+    """(search name, call) on a random small window."""
+    g = draw(grounds)
+    w = Window(g[0], g[-1], g)
+    small = st.integers(1, min(6, len(g)))
+    name = draw(st.sampled_from(["homogenize", "dichotomy", "separation",
+                                 "sperner", "chain", "transfer"]))
+    if name == "homogenize":
+        spec = parse_family(draw(st.sampled_from(HOMOGENIZE_FAMILIES)))
+        coloring = draw(st.one_of(
+            st.sampled_from([get_coloring("parity-sum"),
+                             get_coloring("span-threshold")]),
+            st.builds(hash_coloring, st.integers(0, 1 << 20),
+                      st.integers(1, 3))))
+        return name, lambda t=draw(small): [homogenize(spec, coloring, w, t)]
+    if name == "dichotomy":
+        desc = draw(st.sampled_from(DICHOTOMY_PREDICATES))
+        spec = parse_family(draw(st.sampled_from(DICHOTOMY_FAMILIES)))
+        return name, lambda t=draw(small): hereditary_dichotomy(desc, spec,
+                                                                w, t)
+    if name == "separation":
+        a, b = map(parse_ordinal, draw(st.sampled_from(SEPARATION_PAIRS)))
+        return name, lambda t=draw(small): [rank_separation(a, b, w, t)]
+    if name == "sperner":
+        spec = parse_family(draw(st.sampled_from(HOMOGENIZE_FAMILIES)))
+        return name, lambda t=draw(small): [sperner_refine(spec, w, t)]
+    if name == "chain":
+        desc = draw(st.sampled_from(DICHOTOMY_PREDICATES))
+        return name, lambda d=draw(small): [detect_chain(desc, w, d)]
+    return name, lambda xi=draw(st.integers(0, 2)): [schreier_transfer(xi, w)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(search=searches())
+def test_every_search_certificate_verifies(search):
+    name, run = search
+    for cert in run():
+        if cert is None:  # the window ran out
+            continue
+        for c in (cert, from_json(to_json(cert))):
+            assert verify_certificate(c) == (True, "ok"), (name, c)

@@ -96,3 +96,17 @@ def test_external_garbage_raises():
 def test_external_registry_spelling():
     with pytest.raises(ValueError):
         get_coloring("external:")
+
+
+@pytest.mark.parametrize("colors", [0, -1, True, False, 2.0, "3", None],
+                         ids=repr)
+def test_palette_below_one_refused(colors):
+    # 0 would divide by zero at the first call, and True pass as one colour
+    with pytest.raises(ValueError, match="colors must be an integer >= 1"):
+        Coloring(lambda s: 1, colors=colors)
+    with pytest.raises(ValueError, match="colors must be an integer >= 1"):
+        hash_coloring(1, colors)
+
+
+def test_one_colour_palette_builds():
+    assert hash_coloring(1, 1)((1, 2)) == 1

@@ -5,7 +5,8 @@ Two oracles test every subset of a ground list: the member filter that
 families, and the Dichotomy verifier's loop over every subset of the
 witness.  The library now lists only the sets a prefix-closed test keeps;
 these tests hold it to the oracles' answers, and count that the subsets it
-skips are really skipped.
+skips are really skipped.  The Dichotomy and Homogeneous checks' own
+folds, which the search rules replaced, are kept as oracles too.
 """
 
 import json
@@ -13,17 +14,18 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import schreier.certificates as certificates
 import schreier.families as families
 import schreier.finsets as finsets
+import schreier.search as search
 from schreier.certificates import (hereditary_predicate, make_certificate,
                                    verify_certificate)
 from schreier.cli import main
+from schreier.colorings import hash_coloring
 from schreier.families import (FamilySpec, _down_test, _kept,
                                enumerate_family, parse_family, section)
 from schreier.finsets import EMPTY, Window, subsets_of
-from schreier.ordinals import parse_ordinal
-from schreier.search import hereditary_dichotomy, rank_separation
+from schreier.ordinals import ZERO, parse_ordinal
+from schreier.search import hereditary_dichotomy, homogenize, rank_separation
 
 
 # -- oracles ------------------------------------------------------------
@@ -203,7 +205,7 @@ def test_dichotomy_verifier_lists_only_the_subset_closure(monkeypatch):
     # while A:2's closure holds 211 sets there; the frontier grows each of
     # them once
     calls = []
-    real = certificates._kept
+    real = search._kept
 
     def counting(keep):
         grow, root = real(keep)
@@ -214,10 +216,89 @@ def test_dichotomy_verifier_lists_only_the_subset_closure(monkeypatch):
             return grown, frontier
         return counted, root
 
-    monkeypatch.setattr(certificates, "_kept", counting)
+    monkeypatch.setattr(search, "_kept", counting)
     cert = make_certificate("DichotomyBranchA", "A:2", Window(21, 40),
                             tuple(range(21, 41)),
                             {"hereditary": "all", "branch": "A",
                              "target": 20})
     assert verify_certificate(cert) == (True, "ok")
     assert len(calls) < 2000
+
+
+# -- the checks against the folds they replace ----------------------------
+#
+# The Dichotomy and Homogeneous checks once kept their own rules: a
+# frontier fold with its own member-form keep, and a loop over the members
+# that enumerate_family lists.  Both now fold the search's rule; the old
+# loops stay here as oracles for the verdicts.
+
+
+def old_dichotomy_check(cert):
+    """The Dichotomy check's own frontier fold, before it used _branch."""
+    branch = cert.kind[-1]
+    desc = cert.payload_dict().get("hereditary", "")
+    try:
+        spec = parse_family(cert.family)
+        if isinstance(desc, str) and desc.startswith("member:"):
+            keep = parse_family(desc[len("member:"):])
+            hered = keep.member
+        else:
+            hered = keep = hereditary_predicate(desc)
+        if branch == "A":
+            _down_test(spec)
+            keep = spec
+        grow, frontier = _kept(keep)
+
+        def kept_sets(frontier):
+            if isinstance(keep, FamilySpec) or keep(EMPTY):
+                yield EMPTY, None
+            for x in cert.witness:
+                grown, frontier = grow(frontier, x)
+                yield from grown
+
+        for t, r in kept_sets(frontier):
+            if branch == "A" and not hered(t):
+                return False, f"{t} is in the subset closure but outside the target"
+            if (branch == "B" and (hered(t) if r is None else r is ZERO)
+                    and not (spec.star(t) and not spec.member(t))):
+                return False, f"{t} is not a proper initial segment of a member"
+    except ValueError as e:
+        return False, str(e)
+    return True, "ok"
+
+
+def old_homogeneous_check(cert):
+    """The Homogeneous check's loop over the listed members."""
+    p, w = cert.payload_dict(), cert.witness
+    members = enumerate_family(parse_family(cert.family),
+                               Window(w[0], w[-1], w)) if w else []
+    seed = int(p["coloring"][len("hash["):-1])
+    coloring = hash_coloring(seed, p.get("colors", 2))
+    return all(coloring(s) == p["color"] for s in members if s)
+
+
+def test_dichotomy_check_matches_its_old_fold():
+    certs = _fixed()
+    certs += [m for c in certs for m in _mutants(c)]
+    verdicts = [verify_certificate(c) for c in certs]
+    assert verdicts == [old_dichotomy_check(c) for c in certs]
+    assert 0 < sum(ok for ok, _ in verdicts) < len(certs)
+
+
+HOMOGENEOUS_FAMILIES = ["A:0", "A:2", "A:w", "F:1", "exL", "ex112"]
+
+
+@pytest.mark.parametrize("colors", [2, 3])
+@pytest.mark.parametrize("text", HOMOGENEOUS_FAMILIES)
+def test_homogeneous_check_matches_its_old_listing(text, colors):
+    certs = [homogenize(parse_family(text), hash_coloring(seed, colors),
+                        Window(1, 16), 4) for seed in range(4)]
+    certs = [c for c in certs if c is not None]
+    assert certs
+    verdicts = []
+    for cert in certs + [m for c in certs for m in _mutants(c)]:
+        ok, reason = verify_certificate(cert)
+        assert ok == old_homogeneous_check(cert), (cert, reason)
+        verdicts.append(ok)
+    # A:0's only member is the empty set, which is never coloured
+    assert all(verdicts) if text == "A:0" else not all(verdicts)

@@ -222,12 +222,12 @@ def test_separation_frontier_matches_subset_admit(pair, ground):
     xi1, xi2 = o(pair[0]), o(pair[1])
     admit, root = separation_admit(xi1, xi2)
     oracle = oracle_separation_admit(xi1, xi2)
-    kept, frontier = (), root[1]
+    kept, frontier = (), root
     for partial, e, (ok, want_ok), (state, _) in greedy_walk(
             admit, root, oracle, None, ground):
         assert ok == want_ok, (partial, e)
         if ok:
-            kept, frontier = partial + (e,), state[1]
+            kept, frontier = partial + (e,), state
     # the frontier holds each subset of the kept set alive at xi1 and not
     # a level-xi1 member, once, with its xi1 residual
     alive = [(s, residual_after(xi1, s)) for s in subsets_of(kept)]
