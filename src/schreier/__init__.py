@@ -88,7 +88,7 @@ from .search import (
     detect_chain,
     schreier_transfer,
     large_index_transfer,
-    recheck_transfer,
+    recheck,
 )
 
 __version__ = "0.1.0"
@@ -189,7 +189,7 @@ __all__ = [
     "detect_chain",
     "schreier_transfer",
     "large_index_transfer",
-    "recheck_transfer",
+    "recheck",
     "run_all",
     "run_one",
     "__version__",

@@ -2,29 +2,30 @@
 
 The existence statements these searches shadow quantify over infinite
 ground sets.  Everything here works inside a finite window instead and
-emits a certificate whose claim is re-checkable by direct enumeration;
-an exhausted window is reported as a negative, never as a disproof.
-Candidates extend in lexicographic-increasing order throughout, so runs
-are reproducible without any seed plumbing.  A search whose frontier of
-kept subsets (families._kept) would pass families._MAX_KEPT entries
-raises ValueError; so does one whose certificate's check lists subsets
-of the witness, at a target over 25 (families._cap), before it starts.
+emits a certificate; an exhausted window is reported as a negative,
+never as a disproof.  Candidates extend in lexicographic-increasing
+order throughout, so runs are reproducible without any seed plumbing.
+A search whose frontier of kept subsets (families._kept) would pass
+families._MAX_KEPT entries raises ValueError; so does one that lists
+subsets of its witness, at a target over 25 (families._cap), before it
+starts.  A certificate is checked by its own search: recheck reruns it
+on the witness and compares the record it writes.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import count
 from typing import List, Optional, Sequence, Tuple
 
 from .certificates import Certificate, hereditary_predicate, make_certificate
-from .colorings import Coloring
+from .colorings import Coloring, get_coloring, hash_coloring
 from .families import (
     FamilySpec,
     _cap,
     _down_test,
     _kept,
     _member_counts,
-    check_sperner,
     parse_family,
 )
 from .finsets import EMPTY, FinSet, Window, spread
@@ -84,9 +85,27 @@ def _lex_first(ground: Sequence[int], target: int, admit, state=None):
     return None
 
 
+def _certified(search):
+    """search, its records made certificates.
+
+    A search body returns its record (kind, family, window, L, payload),
+    a list of them or None; recheck reruns the body, search.__wrapped__,
+    so a check hashes no record but the one it is given.
+    """
+    @wraps(search)
+    def certified(*args, **kwargs):
+        found = search(*args, **kwargs)
+        if found.__class__ is list:
+            return [make_certificate(*r) for r in found]
+        return found and make_certificate(*found)
+
+    return certified
+
+
 # -- homogeneity ------------------------------------------------------
 
 
+@_certified
 def homogenize(spec: FamilySpec, coloring: Coloring, window: Window,
                target: int) -> Optional[Certificate]:
     """Find L of the target size whose family members are monochromatic.
@@ -104,32 +123,24 @@ def homogenize(spec: FamilySpec, coloring: Coloring, window: Window,
     if hit is None:
         return None
     L, (color, _) = hit
-    payload = {
-        "coloring": coloring.name,
-        "color": 1 if color is None else color,
-        "target": target,
-        "order": "lex",
-    }
+    payload = {"coloring": coloring.name, "color": 1 if color is None else color,
+               "target": target, "order": "lex"}
     # the 2-colour default stays implicit, so those certificates keep
     # their bytes; any other palette is needed to rebuild the coloring
     if coloring.colors != 2:
         payload["colors"] = coloring.colors
-    return make_certificate("Homogeneous", spec.literal(), window, L, payload)
+    return "Homogeneous", spec.literal(), window, L, payload
 
 
 def _homogenize_admit(spec: FamilySpec, coloring):
     """homogenize's admit rule and root state for _lex_first.
 
-    A state is (colour fixed so far or None, _kept frontier).  The
-    frontier keeps the star sets, which hold every member; a custom kind
-    without a star test keeps every set.  Appending e colours each kept
-    s + (e,) that is a member, at residual 0 or by the member test, and
-    is refused at the first colour that differs, that member its state.
-    The Homogeneous check folds this rule from the recorded colour.
+    A state is (colour fixed so far or None, _star_kept frontier).
+    Appending e colours each kept s + (e,) that is a member, at residual
+    0 or by the member test, and is refused at the first colour that
+    differs, that member its state.
     """
-    keep = spec if spec.kind != "custom" or spec.star_predicate else (
-        lambda t: True)
-    grow, root = _kept(keep)
+    grow, root = _star_kept(spec)
 
     def admit(partial, e, state):
         color, frontier = state
@@ -145,36 +156,70 @@ def _homogenize_admit(spec: FamilySpec, coloring):
     return admit, (None, root)
 
 
+def _star_kept(spec: FamilySpec):
+    """_kept over the star sets, which hold every member; a custom kind
+    without a star test keeps every set."""
+    return _kept(spec if spec.kind != "custom" or spec.star_predicate
+                 else lambda t: True)
+
+
 # -- Sperner refinement -----------------------------------------------
 
 
+@_certified
 def sperner_refine(spec: FamilySpec, window: Window,
                    target: int) -> Optional[Certificate]:
     """Find L whose family members form an antichain under inclusion.
 
     An element e joins the partial set only while check_sperner holds on
-    partial + (e,), the rule the certificate's verifier applies to L.
+    partial + (e,), decided by _sperner_admit on the members e completes.
     """
     if target < 1:
         raise ValueError("target must be at least 1")
     _cap(target)
-
-    def admit(partial, e, state):
-        L = partial + (e,)
-        return check_sperner(spec, Window(L[0], e, L))[0], state
-
-    hit = _lex_first(window.ground, target, admit)
+    hit = _lex_first(window.ground, target, *_sperner_admit(spec))
     if hit is None:
         return None
     L, _ = hit
     payload = {"target": target, "op": "sperner-refine"}
-    return make_certificate("SpernerRefined", spec.literal(), window, L,
-                            payload)
+    return "SpernerRefined", spec.literal(), window, L, payload
+
+
+def _sperner_admit(spec: FamilySpec):
+    """sperner_refine's admit rule and root state for _lex_first.
+
+    A state is (_star_kept frontier, the members so far as sorted (size,
+    mask over positions in the partial set, set) triples).  Appending e
+    makes each kept s + (e,) that is a member a new one, and is refused,
+    that nested pair its state, when an old member lies inside a new one
+    or two new ones nest.  No new member, which holds e, lies inside an
+    old one, so on a partial set whose every prefix passed this is
+    check_sperner.
+    """
+    grow, root = _star_kept(spec)
+
+    def admit(partial, e, state):
+        frontier, members = state
+        grown, frontier = grow(frontier, e)
+        bit = {x: 1 << i for i, x in enumerate(partial + (e,))}
+        new = [(len(t), sum(map(bit.__getitem__, t)), t) for t, r in grown
+               if r is ZERO or r is None and spec.member(t)]
+        members = sorted(members + new)
+        for k, m, t in new:
+            for j, n, s in members:  # only a smaller member can lie inside t
+                if j >= k:
+                    break
+                if n & m == n:
+                    return False, (s, t)
+        return True, (frontier, members)
+
+    return admit, (root, [(0, 0, EMPTY)] if spec.member(EMPTY) else [])
 
 
 # -- dichotomies ------------------------------------------------------
 
 
+@_certified
 def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
                          target: int = 8) -> List[Certificate]:
     """Search for L realizing one of the two containment branches.
@@ -210,8 +255,8 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
         return []
     L, branches = hit
     base = {"hereditary": hered_desc, "target": target}
-    return [make_certificate(f"DichotomyBranch{b}", spec.literal(), window, L,
-                             dict(base, branch=b))
+    return [(f"DichotomyBranch{b}", spec.literal(), window, L,
+             dict(base, branch=b))
             for b, frontier in zip("AB", branches) if frontier.__class__ is list]
 
 
@@ -248,8 +293,7 @@ def _branch(branch: str, desc, spec: FamilySpec):
     A keeps the family's subset closure and checks each set is in the
     predicate desc names.  B keeps the predicate's sets, or a ``member:``
     form's star sets and checks only its members, and checks each is a
-    proper initial segment of a family member.  The searches step by this
-    rule and the Dichotomy check folds it over the witness.
+    proper initial segment of a family member.
     """
     if isinstance(desc, str) and desc.startswith("member:"):
         form = parse_family(desc[len("member:"):])
@@ -269,6 +313,7 @@ def _branch(branch: str, desc, spec: FamilySpec):
                   or proper(t))
 
 
+@_certified
 def rank_separation(xi1, xi2, window: Window,
                     target: int = 6) -> Optional[Certificate]:
     """Find L where every level-xi1 member is a proper initial segment of
@@ -287,16 +332,12 @@ def rank_separation(xi1, xi2, window: Window,
     if hit is None:
         return None
     L, _ = hit
-    payload = {
-        "hereditary": desc,
-        "branch": "B",
-        "op": "rank-separation",
-        "target": target,
-    }
-    return make_certificate("DichotomyBranchB", f"A:{format_ordinal(xi2)}",
-                            window, L, payload)
+    payload = {"hereditary": desc, "branch": "B", "op": "rank-separation",
+               "target": target}
+    return "DichotomyBranchB", f"A:{format_ordinal(xi2)}", window, L, payload
 
 
+@_certified
 def detect_chain(hered_desc: str, window: Window,
                  depth: int) -> Optional[Certificate]:
     """Find a chain of proper initial segments of the given depth.
@@ -319,8 +360,8 @@ def detect_chain(hered_desc: str, window: Window,
     ``F:<level>`` spread, as do ``all``, ``member:A:1`` and
     ``member:F:<level>``.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if type(depth) is not int or depth < 1:  # a bool or float is no depth
+        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
     hered = hereditary_predicate(hered_desc)
     _probe_hereditary(hered_desc)
     root_empty = hered(EMPTY)
@@ -337,12 +378,9 @@ def detect_chain(hered_desc: str, window: Window,
     A, _ = hit
     links = ([EMPTY] if root_empty else []) + \
         [A[:k] for k in range(1, needed + 1)]
-    payload = {
-        "hereditary": hered_desc,
-        "depth": depth,
-        "chain": [list(s) for s in links],
-    }
-    return make_certificate("Chain", hered_desc, window, links[-1], payload)
+    payload = {"hereditary": hered_desc, "depth": depth,
+               "chain": [list(s) for s in links]}
+    return "Chain", hered_desc, window, links[-1], payload
 
 
 # -- transfer between the union-built and section-indexed hierarchies --
@@ -476,6 +514,7 @@ def _transfer_containments(level: int, window: Window):
             "L": L}
 
 
+@_certified
 def schreier_transfer(xi, window: Window,
                       assume_dense: bool = False) -> Certificate:
     """Certify the two-sided containment chain for a union level.
@@ -499,8 +538,7 @@ def schreier_transfer(xi, window: Window,
         "spread_checked": data["spread_checked"],
         "closure_checked": data["closure_checked"],
     }
-    return make_certificate("Transfer", f"B:{level}", window, data["L"],
-                            payload)
+    return "Transfer", f"B:{level}", window, data["L"], payload
 
 
 def _transfer_route(level: int, sigma: Optional[Ordinal]) -> str:
@@ -535,10 +573,9 @@ def _spread_into(level: int, L: FinSet, H) -> Tuple[int, Optional[FinSet]]:
     return checked, None
 
 
-def _large_index_certificate(into_desc: str, sigma: Optional[Ordinal],
-                             level: int, window: Window,
-                             L: FinSet) -> Certificate:
-    """The large-index Transfer certificate for a found L.
+def _large_index_record(into_desc: str, sigma: Optional[Ordinal],
+                        level: int, window: Window, L: FinSet):
+    """The large-index Transfer record for a found L.
 
     Computes the route and the spread count on L, with target len(L).
     Raises ValueError when a spread escapes the target predicate.
@@ -556,9 +593,10 @@ def _large_index_certificate(into_desc: str, sigma: Optional[Ordinal],
         "target": len(L),
         "spread_checked": checked,
     }
-    return make_certificate("Transfer", f"B:{level}", window, L, payload)
+    return "Transfer", f"B:{level}", window, L, payload
 
 
+@_certified
 def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
                          window: Window,
                          target: int = 8) -> Optional[Certificate]:
@@ -595,39 +633,118 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     hit = _lex_first(window.ground, size, _budgeted(admit), root)
     if hit is None:
         return None
-    return _large_index_certificate(into_desc, sigma, level, window,
-                                    hit[0][drop:])
+    return _large_index_record(into_desc, sigma, level, window,
+                               hit[0][drop:])
 
 
-def recheck_transfer(cert: Certificate):
-    """Rebuild a transfer certificate from its record with the search's
-    builder; the family, witness and every payload key must match.  The
-    assume_dense flag is rebuilt from its record, so any bool passes."""
+def _recorded_coloring(p) -> Coloring:
+    """The colouring a Homogeneous record names, at its palette."""
+    name = p.get("coloring")
+    if not isinstance(name, str) or name.startswith("external:"):
+        raise ValueError(f"coloring {name!r} needs a caller-supplied oracle")
+    if name.startswith("hash[") and name.endswith("]"):
+        return hash_coloring(int(name[5:-1]), p.get("colors", 2))
+    return get_coloring(name)
+
+
+def recheck(cert: Certificate, coloring: Optional[Coloring] = None):
+    """Rerun the search that writes cert's kind on its witness and compare.
+
+    The search's inputs are read from the record (the colouring, unless
+    one is given).  Each search but the shift transfer reruns on
+    Window(lo, hi, witness) at target len(witness), so the only L it can
+    find is the witness.  The record it writes must match cert's kind,
+    family, witness and every payload key, typed: a recorded 8.0 or True
+    is not the 8 or 1 a search writes.  No digest is computed.
+    """
     p = cert.payload_dict()
-    variant = p.get("variant")
+    kind, op, n = cert.kind, p.get("op"), len(cert.witness)
     try:
-        level = _as_level(int(str(p.get("xi"))))
-        if variant == "shift":
-            rebuilt = schreier_transfer(level, cert.window,
-                                        p.get("assume_dense"))
-        elif variant == "large-index":
-            sigma = str(p.get("sigma"))
-            rebuilt = _large_index_certificate(
-                p.get("into"),
-                None if sigma == "infinity" else parse_ordinal(sigma),
-                level, cert.window, cert.witness)
+        on = Window(cert.window.lo, cert.window.hi, cert.witness)
+        if kind == "Homogeneous" and op is None:
+            coloring = coloring or _recorded_coloring(p)
+            found = homogenize.__wrapped__(parse_family(cert.family), coloring,
+                                           on, n)
+        elif kind.startswith("Dichotomy") and op is None:
+            found = next((r for r in hereditary_dichotomy.__wrapped__(
+                p.get("hereditary"), parse_family(cert.family), on, n)
+                if r[0] == kind), None)
+        elif kind == "DichotomyBranchB" and op == "rank-separation":
+            # the levels follow the last colon; the compare refuses the rest
+            xi1, xi2 = (parse_ordinal(str(v).rpartition(":")[2])
+                        for v in (p.get("hereditary"), cert.family))
+            found = rank_separation.__wrapped__(xi1, xi2, on, n)
+        elif kind == "SpernerRefined" and op == "sperner-refine":
+            found = sperner_refine.__wrapped__(parse_family(cert.family), on, n)
+        elif kind == "Chain" and op is None:
+            found = detect_chain.__wrapped__(p.get("hereditary"), on,
+                                             p.get("depth"))
+        elif kind == "Transfer" and op is None:
+            level, variant = _as_level(int(str(p.get("xi")))), p.get("variant")
+            if variant == "shift":
+                found = schreier_transfer.__wrapped__(level, cert.window,
+                                                      p.get("assume_dense"))
+            elif variant == "large-index":
+                sigma = str(p.get("sigma"))
+                found = _large_index_record(
+                    p.get("into"),
+                    None if sigma == "infinity" else parse_ordinal(sigma),
+                    level, cert.window, cert.witness)
+            else:
+                return False, f"unknown transfer variant {variant!r}"
         else:
-            return False, f"unknown transfer variant {variant!r}"
+            return False, f"no search writes a {kind} record with op {op!r}"
     except (ValueError, RuntimeError) as e:
         return False, str(e)
-    for key in ("family", "witness"):
-        if getattr(cert, key) != getattr(rebuilt, key):
+    if found is None:
+        return False, _refusal(cert, coloring)
+    _, family, _, L, want = found  # the kind is the one dispatched on
+    for key, built in (("family", family), ("witness", L)):
+        if getattr(cert, key) != built:
             return False, f"recorded {key} disagrees with the re-check"
-    want = rebuilt.payload_dict()
     for key in sorted(want.keys() | p.keys()):
-        # typed: a recorded 8.0 or True is not the 8 or 1 the builder wrote
         got, built = ((key in d, type(d.get(key)), d.get(key))
                       for d in (p, want))
         if got != built:
             return False, f"recorded {key} disagrees with the re-check"
     return True, "ok"
+
+
+def _refusal(cert: Certificate, coloring: Optional[Coloring]) -> str:
+    """Why the rerun search found no witness: the first counterexample
+    its own step meets, folded over the witness."""
+    p, w = cert.payload_dict(), cert.witness
+    if cert.kind == "Homogeneous":
+        # homogenize's admit from the recorded colour
+        admit, (_, root) = _homogenize_admit(parse_family(cert.family),
+                                             coloring)
+        color = p.get("color")
+        t = _refused(admit, (color, root), w)
+        if t is not None:
+            return (f"member {t} has color {coloring(t)}, expected {color} "
+                    f"({coloring.name}, {coloring.colors} colors)")
+    elif cert.kind.startswith("Dichotomy"):
+        step, state = _branch(cert.kind[-1], p.get("hereditary"),
+                              parse_family(cert.family))
+        for x in w:
+            state = step(state, x)
+        if state.__class__ is tuple:
+            return (f"{state} is in the subset closure but outside the target"
+                    if cert.kind[-1] == "A" else
+                    f"{state} is not a proper initial segment of a member")
+    elif cert.kind == "SpernerRefined":
+        pair = _refused(*_sperner_admit(parse_family(cert.family)), w)
+        if pair is not None:
+            return "members {} and {} are nested".format(*pair)
+    elif cert.kind == "Chain":
+        return f"no chain of depth {p.get('depth')!r} ends at the witness {w}"
+    return f"the search finds no {cert.kind} record on the witness"
+
+
+def _refused(admit, state, w):
+    """The state admit refuses with, folded over w, or None."""
+    for i, x in enumerate(w):
+        ok, state = admit(w[:i], x, state)
+        if not ok:
+            return state
+    return None

@@ -1,5 +1,6 @@
 """Certificate plumbing: hash binding, JSON round-trips, semantic re-checks."""
 
+import functools
 import json
 import random
 import time
@@ -65,7 +66,7 @@ def test_resigned_forgery_rejected_semantically():
 def test_wrong_target_rejected():
     cert = make_certificate(
         "Homogeneous", "A:2", Window(1, 20), (1, 3, 5),
-        {"coloring": "parity-sum", "color": 1, "target": 4})
+        {"coloring": "parity-sum", "color": 1, "target": 4, "order": "lex"})
     ok, reason = verify_certificate(cert)
     assert not ok and "target" in reason
 
@@ -103,10 +104,11 @@ def test_recorded_count_must_be_the_integer_size(name, key, forged):
 def test_external_coloring_needs_oracle():
     cert = make_certificate(
         "Homogeneous", "A:2", Window(1, 10), (2, 4, 6, 8),
-        {"coloring": "external:somecmd", "color": 1, "target": 4})
+        {"coloring": "external:somecmd", "color": 1, "target": 4,
+         "order": "lex"})
     ok, reason = verify_certificate(cert)
     assert not ok and "oracle" in reason
-    oracle = Coloring(lambda s: 1, name="stub")
+    oracle = Coloring(lambda s: 1, name="external:somecmd")
     ok, _ = verify_certificate(cert, coloring=oracle)
     assert ok
 
@@ -117,7 +119,7 @@ def test_hash_name_embeds_seed():
     # find a monochromatic 2-set for this coloring so the cert verifies
     cert = make_certificate(
         "Homogeneous", "A:1", Window(1, 9), (1, 2),
-        {"coloring": c.name, "color": c((1,)), "target": 2})
+        {"coloring": c.name, "color": c((1,)), "target": 2, "order": "lex"})
     ok, reason = verify_certificate(cert)
     assert ok == (c((1,)) == c((2,))), reason
 
@@ -218,9 +220,10 @@ def test_sperner_verifier():
 
 
 def test_sperner_verifier_empty_witness():
+    # sperner_refine refuses target 0, so no search writes this record
     empty = make_certificate("SpernerRefined", "A:3", Window(1, 10), (),
                              {"target": 0, "op": "sperner-refine"})
-    assert verify_certificate(empty) == (True, "ok")
+    assert verify_certificate(empty) == (False, "target must be at least 1")
 
 
 # 40 odd numbers below 80: listing their subsets would walk 2^40 sets
@@ -257,15 +260,18 @@ def test_homogeneous_verifier_lists_members_only():
 
 
 def test_homogeneous_verifier_edge_witnesses():
-    # the empty set is A:0's member and is never coloured; an empty
-    # witness has no members to colour
+    # the empty set is A:0's member and is never coloured, so homogenize
+    # writes colour 1 there; it refuses an empty witness, at target 0
     def cert(family, witness, color):
         return make_certificate(
             "Homogeneous", family, Window(1, 9), witness,
             {"coloring": "parity-sum", "color": color,
              "target": len(witness), "order": "lex"})
-    assert verify_certificate(cert("A:0", (1, 2, 3), 7)) == (True, "ok")
-    assert verify_certificate(cert("A:2", (), 7)) == (True, "ok")
+    assert verify_certificate(cert("A:0", (1, 2, 3), 1)) == (True, "ok")
+    assert verify_certificate(cert("A:0", (1, 2, 3), 7)) == (
+        False, "recorded color disagrees with the re-check")
+    assert verify_certificate(cert("A:2", (), 7)) == (
+        False, "target must be at least 1")
     ok, reason = verify_certificate(cert("A:2", (1, 2, 3), 1))
     assert not ok and reason.startswith("member (1, 2) has color")
 
@@ -289,7 +295,7 @@ def test_chain_verifier():
         {"hereditary": "down:A:3", "depth": 3,
          "chain": [[1], [1, 3], [1, 2, 4]]})
     ok, reason = verify_certificate(broken)
-    assert not ok and "initial segment" in reason
+    assert not ok and "witness" in reason
     shallow = make_certificate(
         "Chain", "down:A:3", Window(1, 10), (1, 2),
         {"hereditary": "down:A:3", "depth": 4, "chain": [[1], [1, 2]]})
@@ -328,7 +334,7 @@ def test_malformed_chain_rejected(chain):
     cert = make_certificate(
         "Chain", "down:A:3", Window(1, 10), (1, 2, 3),
         {"hereditary": "down:A:3", "depth": 4, "chain": chain})
-    assert "chain must be a list of sets" in rejected_both_ways(cert)
+    assert "recorded chain disagrees" in rejected_both_ways(cert)
 
 
 def test_unparseable_family_is_rejected_not_raised():
@@ -379,12 +385,14 @@ def _with(field, value):
     _with("witness", [3, 3]),
     _with("witness", [0, 2]),
     _with("witness", ["a"]),
+    _with("family", 3),
+    _with("family", ["A:2"]),
     "not json {",
     "[]",
     "3",
 ], ids=["payload-list", "window-lo-above-hi", "witness-duplicate",
-        "witness-zero", "witness-text", "not-json", "json-list",
-        "json-number"])
+        "witness-zero", "witness-text", "family-number", "family-list",
+        "not-json", "json-list", "json-number"])
 def test_from_json_malformed_raises_certificate_error(text):
     with pytest.raises(CertificateError):
         from_json(text)
@@ -532,6 +540,11 @@ WINDOW_BASES = {
 }
 
 
+@functools.cache
+def _window_base(name):
+    return WINDOW_BASES[name]()
+
+
 @pytest.mark.parametrize("name", sorted(WINDOW_BASES))
 def test_witness_outside_the_window_rejected(name):
     cert = WINDOW_BASES[name]()
@@ -553,9 +566,12 @@ def test_window_check_builds_no_set(monkeypatch):
     thinned = Window(1, 1 << 20, (2, 4, 1 << 20))
     cert = make_certificate("Chain", "all", wide, (1, 2), {
         "hereditary": "all", "depth": 3, "chain": [[], [1], [1, 2]]})
-    monkeypatch.setattr(finsets, "set", no_set, raising=False)
-    assert wide.contains_set((1, 5, 1 << 20))
-    assert not thinned.contains_set((2, 3))
+    with monkeypatch.context() as patched:
+        patched.setattr(finsets, "set", no_set, raising=False)
+        assert wide.contains_set((1, 5, 1 << 20))
+        assert not thinned.contains_set((2, 3))
+        assert cert.window.contains_set(cert.witness)
+    # the re-check builds the witness's own window, a set of two
     assert verify_certificate(cert) == (True, "ok")
 
 
@@ -577,7 +593,8 @@ def test_dichotomy_member_form_parsed_once(monkeypatch):
         monkeypatch.setattr(module, "parse_family",
                             lambda text: parsed.append(text) or real(text))
     assert verify_certificate(cert) == (True, "ok")
-    assert parsed == ["A:w^2", "A:w"]
+    # rank_separation reads the levels as ordinals and parses the form
+    assert parsed == ["A:w"]
 
 
 # -- each check reads every field its search records --------------------
@@ -605,14 +622,14 @@ def test_dichotomy_check_reads_the_separation_op():
     cert = rank_separation(parse_ordinal("2"), parse_ordinal("w"),
                            Window(1, 20))
     assert verify_certificate(cert) == (True, "ok")
-    for changes in ({"op": "anything"}, {"hereditary": "down:A:2"}):
-        ok, reason = verify_certificate(forged(cert, **changes))
-        assert not ok and "op" in reason, reason
-    # the op on a branch-B record of a family that is not A:
+    for key, value in (("op", "anything"), ("hereditary", "down:A:2")):
+        ok, reason = verify_certificate(forged(cert, **{key: value}))
+        assert not ok and key in reason, reason
+    # the op on a branch-B record of a family that is not A: names it
     branch_b = _dichotomy("B")
     ok, reason = verify_certificate(forged(
         branch_b, op="rank-separation", hereditary="member:A:1"))
-    assert not ok and "op" in reason, reason
+    assert not ok and "'exL'" in reason, reason
 
 
 def test_dichotomy_check_probes_heredity():
@@ -642,7 +659,7 @@ def test_homogeneous_palette_matches_a_supplied_coloring():
     cert = three_colour_cert(0)
     assert verify_certificate(cert, hash_coloring(0, 3)) == (True, "ok")
     ok, reason = verify_certificate(cert, hash_coloring(0))
-    assert not ok and "palette" in reason, reason
+    assert not ok and "2 colors" in reason, reason
 
 
 @pytest.mark.parametrize("op", ["anything", None])
@@ -728,3 +745,80 @@ def test_every_search_certificate_verifies(search):
             continue
         for c in (cert, from_json(to_json(cert))):
             assert verify_certificate(c) == (True, "ok"), (name, c)
+
+
+# -- records no search writes are refused by the rerun search -------------
+
+
+def test_separation_record_needs_the_lower_level_below():
+    record = make_certificate(
+        "DichotomyBranchB", "A:1", Window(1, 5), (1,),
+        {"hereditary": "member:A:2", "branch": "B", "op": "rank-separation",
+         "target": 1})
+    assert verify_certificate(record) == (False, "separation needs xi1 < xi2")
+    with pytest.raises(ValueError, match="xi1 < xi2"):
+        rank_separation(parse_ordinal("2"), parse_ordinal("1"), Window(1, 5),
+                        1)
+
+
+@pytest.mark.parametrize("color", [7, 2])
+def test_uncoloured_witness_records_colour_one(color):
+    # A:0's only member, the empty set, is never coloured
+    cert = homogenize(parse_family("A:0"), get_coloring("parity-sum"),
+                      Window(1, 9), 3)
+    assert cert.payload_dict()["color"] == 1
+    assert verify_certificate(forged(cert, color=color)) == (
+        False, "recorded color disagrees with the re-check")
+
+
+@pytest.mark.parametrize("name", ["Homogeneous", "DichotomyBranchA",
+                                  "DichotomyBranchB", "SpernerRefined",
+                                  "Chain"])
+def test_extra_payload_key_refused(name):
+    cert = WINDOW_BASES[name]()
+    assert verify_certificate(cert) == (True, "ok")
+    assert verify_certificate(forged(cert, extra=5)) == (
+        False, "recorded extra disagrees with the re-check")
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(sorted(WINDOW_BASES)),
+       changes=st.lists(st.tuples(
+           st.sampled_from(["kind", "family", "hereditary", "op", "target",
+                            "depth", "chain", "color", "coloring", "colors",
+                            "variant", "xi", "sigma", "into", "extra"]),
+           st.sampled_from(list(CERT_KINDS)) | json_values
+           | st.sampled_from(["A:2", "down:A:2", "member:A:w", "hash[3]",
+                              "external:x", "shift", "large-index",
+                              "infinity", "w^(", "exL", "B:1"])),
+           min_size=1, max_size=3))
+def test_resigned_records_are_refused_not_raised(base, changes):
+    # a re-signed record of any kind with any fields changed is verified
+    # or refused with a reason, never a stray exception
+    doc = json.loads(to_json(_window_base(base)))
+    for key, value in changes:
+        (doc if key in ("kind", "family") else doc["payload"])[key] = value
+    try:
+        cert = from_json(doc)
+    except CertificateError:
+        return
+    cert = make_certificate(cert.kind, cert.family, cert.window,
+                            cert.witness, cert.payload_dict())
+    ok, reason = verify_certificate(cert)
+    assert ok or reason
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_BASES))
+def test_recheck_computes_no_digest(monkeypatch, name):
+    # the rerun calls the undecorated search, so only verify_certificate
+    # hashes, once, the record it is given
+    cert = _window_base(name)
+    extra = forged(cert, extra=5)
+
+    def no_digest(*args):
+        raise AssertionError("the re-check computed a digest")
+
+    monkeypatch.setattr(certificates, "transcript_digest", no_digest)
+    assert search.recheck(cert) == (True, "ok")
+    assert search.recheck(extra) == (
+        False, "recorded extra disagrees with the re-check")

@@ -449,7 +449,7 @@ def test_verify_rejects_edited_certificate(capsys, monkeypatch, tmp_path):
     rc, doc, _ = run_json(capsys, "verify", "--cert", "-")
     assert rc == 1
     assert doc == {"verified": False, "kind": "Chain",
-                   "reason": "(1, 2, 3, 4) is outside the family"}
+                   "reason": "recorded witness disagrees with the re-check"}
 
 
 def test_verify_refuses_wide_witness(capsys, monkeypatch):
@@ -492,7 +492,7 @@ def test_verify_mistyped_payload_is_rejected(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "--cert", "-")
     assert rc == 1
     assert out.splitlines()[0] == "verified: false"
-    assert "chain must be a list of sets" in out
+    assert "recorded chain disagrees" in out
 
 
 def test_verify_malformed_certificate_is_usage_error(capsys, monkeypatch,

@@ -6,7 +6,8 @@ families, and the Dichotomy verifier's loop over every subset of the
 witness.  The library now lists only the sets a prefix-closed test keeps;
 these tests hold it to the oracles' answers, and count that the subsets it
 skips are really skipped.  The Dichotomy and Homogeneous checks' own
-folds, which the search rules replaced, are kept as oracles too.
+folds, which the search rules replaced, are kept as oracles too, and so
+are the per-kind checks that rerunning the search replaced.
 """
 
 import json
@@ -17,15 +18,19 @@ from hypothesis import given, settings, strategies as st
 import schreier.families as families
 import schreier.finsets as finsets
 import schreier.search as search
-from schreier.certificates import (hereditary_predicate, make_certificate,
+from schreier.certificates import (CERT_KINDS, hereditary_predicate,
+                                   make_certificate, transcript_digest,
                                    verify_certificate)
 from schreier.cli import main
-from schreier.colorings import hash_coloring
-from schreier.families import (FamilySpec, _down_test, _kept,
-                               enumerate_family, parse_family, section)
-from schreier.finsets import EMPTY, Window, subsets_of
+from schreier.colorings import get_coloring, hash_coloring
+from schreier.families import (FamilySpec, _cap, _down_test, _kept,
+                               check_sperner, enumerate_family, parse_family,
+                               section)
+from schreier.finsets import EMPTY, Window, as_finset, subsets_of
 from schreier.ordinals import ZERO, parse_ordinal
-from schreier.search import hereditary_dichotomy, homogenize, rank_separation
+from schreier.search import (detect_chain, hereditary_dichotomy, homogenize,
+                             rank_separation, schreier_transfer,
+                             sperner_refine)
 
 
 # -- oracles ------------------------------------------------------------
@@ -268,13 +273,15 @@ def old_dichotomy_check(cert):
 
 
 def old_homogeneous_check(cert):
-    """The Homogeneous check's loop over the listed members."""
+    """The Homogeneous check's loop over the listed members, with
+    homogenize's colour 1 where the witness holds no coloured member."""
     p, w = cert.payload_dict(), cert.witness
     members = enumerate_family(parse_family(cert.family),
                                Window(w[0], w[-1], w)) if w else []
     seed = int(p["coloring"][len("hash["):-1])
     coloring = hash_coloring(seed, p.get("colors", 2))
-    return all(coloring(s) == p["color"] for s in members if s)
+    colors = {coloring(s) for s in members if s} or {1}
+    return colors == {p["color"]}
 
 
 def test_dichotomy_check_matches_its_old_fold():
@@ -302,3 +309,198 @@ def test_homogeneous_check_matches_its_old_listing(text, colors):
         verdicts.append(ok)
     # A:0's only member is the empty set, which is never coloured
     assert all(verdicts) if text == "A:0" else not all(verdicts)
+
+
+# -- verify against the per-kind checks it replaced ------------------------
+#
+# verify_certificate once kept a hand-written check per kind, which read
+# the recorded target and the fields its search writes one by one.  It now
+# reruns the search on the witness; the old checks stay here as oracles.
+
+
+def old_verify_homogeneous(cert, coloring):
+    p = cert.payload_dict()
+    color = p.get("color")
+    name = p.get("coloring", "")
+    colors = p.get("colors", 2)
+    if p.get("order", "lex") != "lex":
+        return False, f"order must be 'lex', got {p.get('order')!r}"
+    if type(color) is not int:
+        return False, f"color must be an integer, got {color!r}"
+    if not isinstance(name, str):
+        return False, f"coloring must be a name, got {name!r}"
+    if coloring is None:
+        if name.startswith("external:"):
+            return False, "external coloring requires a caller-supplied oracle"
+        try:
+            if name.startswith("hash[") and name.endswith("]"):
+                coloring = hash_coloring(int(name[5:-1]), colors)
+            else:
+                coloring = get_coloring(name, int(p.get("seed", 0)))
+        except (TypeError, ValueError) as e:
+            return False, str(e)
+    if type(colors) is not int or colors != coloring.colors:
+        return False, (f"colors {colors!r} disagrees with {coloring.name}'s "
+                       f"palette of {coloring.colors}")
+    w = cert.witness
+    try:
+        _cap(len(w))
+        admit, root = search._homogenize_admit(parse_family(cert.family),
+                                               coloring)
+        s = (color, root[1])
+        for i, x in enumerate(w):
+            ok, s = admit(w[:i], x, s)
+            if not ok:
+                return False, f"member {s} has color {coloring(s)}, expected {color}"
+    except ValueError as e:
+        return False, str(e)
+    return True, "ok"
+
+
+def old_verify_dichotomy(cert):
+    p = cert.payload_dict()
+    branch, desc = cert.kind[-1], p.get("hereditary", "")
+    if p.get("branch") != branch:
+        return False, f"branch {p.get('branch')!r} disagrees with {cert.kind}"
+    try:
+        _cap(len(cert.witness))
+        spec = parse_family(cert.family)
+        step, state = search._branch(branch, desc, spec)
+        if "op" not in p:
+            search._probe_hereditary(desc)
+        elif not (p["op"] == "rank-separation" and branch == "B"
+                  and spec.kind == "A" and desc.startswith("member:A:")):
+            return False, f"op {p['op']!r} does not fit {cert.kind} on {desc}"
+        for x in cert.witness:
+            state = step(state, x)
+    except ValueError as e:
+        return False, str(e)
+    if state.__class__ is list:
+        return True, "ok"
+    if branch == "A":
+        return False, f"{state} is in the subset closure but outside the target"
+    return False, f"{state} is not a proper initial segment of a member"
+
+
+def old_verify_sperner(cert):
+    if cert.payload_dict().get("op") != "sperner-refine":
+        return False, "op must be 'sperner-refine'"
+    w = cert.witness
+    try:
+        spec = parse_family(cert.family)
+        ok, pair = (check_sperner(spec, Window(w[0], w[-1], w)) if w
+                    else (True, None))
+    except ValueError as e:
+        return False, str(e)
+    if not ok:
+        return False, "members {} and {} are nested".format(*pair)
+    return True, "ok"
+
+
+def old_verify_chain(cert):
+    p = cert.payload_dict()
+    try:
+        hered = hereditary_predicate(p.get("hereditary", ""))
+        search._probe_hereditary(p["hereditary"])
+    except ValueError as e:
+        return False, str(e)
+    if cert.family != p["hereditary"]:
+        return False, "family disagrees with the recorded predicate"
+    try:
+        links = [as_finset(s) for s in p.get("chain", ())]
+    except (TypeError, ValueError) as e:
+        return False, f"chain must be a list of sets: {e}"
+    if type(p.get("depth")) is not int or p.get("depth") != len(links):
+        return False, "chain length disagrees with recorded depth"
+    if not links:
+        return False, "empty chain"
+    for s in links:
+        if not hered(s):
+            return False, f"{s} is outside the family"
+    for a, b in zip(links, links[1:]):
+        if not (len(a) < len(b) and b[:len(a)] == a):
+            return False, f"{a} is not a proper initial segment of {b}"
+    if links[-1] != cert.witness:
+        return False, "witness disagrees with final chain link"
+    return True, "ok"
+
+
+def old_verify_certificate(cert, coloring=None):
+    """The hash, the window, the recorded target, then the kind's check;
+    a Transfer was already rebuilt by its search."""
+    digest = transcript_digest(cert.kind, cert.family, cert.window,
+                               cert.witness, cert.payload)
+    if digest != cert.transcript_hash:
+        return False, "transcript hash mismatch"
+    if not cert.window.contains_set(cert.witness):
+        return False, "witness leaves the window's ground"
+    target = cert.payload_dict().get("target")
+    if cert.kind not in ("Chain", "Transfer") and (
+            type(target) is not int or target != len(cert.witness)):
+        return False, f"witness size {len(cert.witness)} != target {target!r}"
+    if cert.kind == "Homogeneous":
+        return old_verify_homogeneous(cert, coloring)
+    if cert.kind.startswith("Dichotomy"):
+        return old_verify_dichotomy(cert)
+    if cert.kind == "SpernerRefined":
+        return old_verify_sperner(cert)
+    if cert.kind == "Chain":
+        return old_verify_chain(cert)
+    return search.recheck(cert)
+
+
+def _searched():
+    """Certificates of all six searches over a panel of inputs."""
+    made = []
+    for text in ("A:0", "A:2", "A:w", "F:1", "exL", "ex112"):
+        spec = parse_family(text)
+        made += [homogenize(spec, hash_coloring(seed, colors), Window(1, 14),
+                            4) for seed in range(3) for colors in (2, 3)]
+        made += [sperner_refine(spec, w, 5) for w in (
+            Window(1, 14), Window(1, 16, (1, 2, 4, 5, 7, 8, 10, 11, 13)))]
+    for desc, fam, hi, target in [
+            ("all", "A:2", 12, 5), ("down:A:1", "A:w", 20, 6),
+            ("down:F:1", "exL", 30, 6), ("down:exL", "exR", 30, 8),
+            ("member:F:1", "A:w", 16, 6), ("member:A:1", "A:2", 12, 5)]:
+        made += hereditary_dichotomy(desc, parse_family(fam), Window(1, hi),
+                                     target)
+    made += [rank_separation(parse_ordinal(a), parse_ordinal(b),
+                             Window(1, 20), 6)
+             for a, b in [("1", "2"), ("2", "w"), ("w", "w^2")]]
+    made += [detect_chain(desc, Window(1, 12), depth) for desc, depth in [
+        ("down:A:3", 4), ("all", 5), ("down:exL", 6), ("member:F:1", 4)]]
+    made += [schreier_transfer(level, Window(1, 12)) for level in range(3)]
+    return [c for c in made if c is not None]
+
+
+def _uncoloured_homogeneous(cert):
+    """A Homogeneous record whose witness holds no coloured member, with
+    a colour other than the 1 homogenize writes there."""
+    w = cert.witness
+    return (cert.kind == "Homogeneous" and cert.payload_dict()["color"] != 1
+            and not any(enumerate_family(parse_family(cert.family),
+                                         Window(w[0], w[-1], w))))
+
+
+# the records the old checks took and no search writes, each by name
+NO_SEARCH_WRITES = {"uncoloured-homogeneous": _uncoloured_homogeneous}
+
+
+def test_verify_matches_the_old_checks():
+    base = _searched()
+    assert {c.kind for c in base} == set(CERT_KINDS)
+    differ = {name: 0 for name in NO_SEARCH_WRITES}
+    certs = base + [m for c in base for m in _mutants(c)]
+    for cert in certs:
+        ok, reason = verify_certificate(cert)
+        old_ok, old_reason = old_verify_certificate(cert)
+        if ok == old_ok:
+            continue
+        # verify refuses; the old check took a record no search writes
+        assert old_ok and not ok, (cert, reason, old_reason)
+        names = [n for n, test in NO_SEARCH_WRITES.items() if test(cert)]
+        assert names, (cert, reason)
+        differ[names[0]] += 1
+    assert differ == {"uncoloured-homogeneous": 4}
+    assert all(verify_certificate(c) == (True, "ok") for c in base)
+    assert 0 < sum(verify_certificate(c)[0] for c in certs) < len(certs)

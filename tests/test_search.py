@@ -13,6 +13,7 @@ from schreier.certificates import (hereditary_predicate, make_certificate,
                                   verify_certificate)
 from schreier.colorings import get_coloring, hash_coloring
 from schreier.families import (FamilySpec, _down_test, _greedy_covers,
+                               check_sperner,
                                parse_family, residual_after, uniform_member,
                                uniform_star)
 from schreier.finsets import Window, check_hereditary, subsets_of
@@ -27,7 +28,7 @@ from schreier.search import (
     homogenize,
     large_index_transfer,
     rank_separation,
-    recheck_transfer,
+    recheck,
     schreier_transfer,
     sperner_refine,
 )
@@ -476,6 +477,42 @@ DICHOTOMY_FAMILIES = ["A:1", "A:2", "A:3", "A:w", "A:w+1", "B:1", "F:1",
                       "F:2", "exL", "exR"]
 thinned_grounds = st.sets(st.integers(1, 16), min_size=1, max_size=12).map(
     lambda xs: Window(1, 16, tuple(xs)))
+
+
+def check_sperner_admit(spec):
+    """sperner_refine's admit before the member frontier: check_sperner on
+    the partial set with e appended, listing its members afresh."""
+    def admit(partial, e, state):
+        L = partial + (e,)
+        return check_sperner(spec, Window(L[0], e, L))[0], state
+    return admit
+
+
+# the empty set is a member of this one, so its first other member nests
+EVEN_SIZED = FamilySpec(kind="custom", predicate=lambda s: len(s) % 2 == 0,
+                        name="even-sized")
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from([p.values[0] for p in SPERNER_PANEL]
+                            + [EVEN_SIZED]),
+       window=thinned_grounds, target=st.integers(1, 6))
+def test_sperner_admit_matches_check_sperner(spec, window, target):
+    admit, root = search._sperner_admit(spec)
+    hit = _lex_first(window.ground, target, check_sperner_admit(spec))
+    got = _lex_first(window.ground, target, admit, root)
+    assert (got and got[0]) == (hit and hit[0])
+    # folded over the whole ground, it refuses where check_sperner first
+    # fails, and its state is then a nested pair of members
+    g, state = window.ground, root
+    for i, x in enumerate(g):
+        ok, state = admit(g[:i], x, state)
+        assert ok == check_sperner(spec, Window(g[0], x, g[:i + 1]))[0]
+        if not ok:
+            s, t = state
+            assert spec.member(s) and spec.member(t)
+            assert set(s) < set(t) <= set(g[:i + 1]) and x in t
+            break
 
 
 @settings(max_examples=200, deadline=None)
@@ -1023,7 +1060,7 @@ def test_transfer_forged_witness_rejected():
     good = schreier_transfer(1, Window(1, 15))
     forged = make_certificate("Transfer", good.family, good.window,
                               good.witness[1:], good.payload_dict())
-    ok, reason = recheck_transfer(forged)
+    ok, reason = recheck(forged)
     assert not ok and "witness" in reason
 
 
@@ -1066,8 +1103,8 @@ TRANSFER_BASES = {
 ])
 def test_transfer_recheck_rebuilds_every_field(variant, key, value, reason):
     good = TRANSFER_BASES[variant]()
-    assert recheck_transfer(good) == (True, "ok")
-    ok, why = recheck_transfer(_resigned(good, key, value))
+    assert recheck(good) == (True, "ok")
+    ok, why = recheck(_resigned(good, key, value))
     assert not ok and reason in why, why
 
 
@@ -1180,7 +1217,7 @@ def test_large_index_route_forgery_rejected():
     p["route"] = "lift"
     forged = make_certificate("Transfer", good.family, good.window,
                               good.witness, p)
-    ok, reason = recheck_transfer(forged)
+    ok, reason = recheck(forged)
     assert not ok and "route" in reason
 
 
