@@ -63,6 +63,12 @@ def _probe_hereditary(desc: str) -> None:
                          "and has a member of two or more elements")
 
 
+def _target(target) -> None:
+    """Raise ValueError unless target is an int >= 1; a bool is none."""
+    if type(target) is not int or target < 1:
+        raise ValueError(f"target must be an integer >= 1, got {target!r}")
+
+
 def _lex_first(ground: Sequence[int], target: int, admit, state=None):
     """Lex-first target-subset L of ground grown one element at a time.
 
@@ -115,8 +121,7 @@ def homogenize(spec: FamilySpec, coloring: Coloring, window: Window,
     when the window is exhausted; only an infinite ground set guarantees
     a witness exists.
     """
-    if target < 1:
-        raise ValueError("target must be at least 1")
+    _target(target)
     _cap(target)
     admit, root = _homogenize_admit(spec, coloring)
     hit = _lex_first(window.ground, target, admit, root)
@@ -174,8 +179,7 @@ def sperner_refine(spec: FamilySpec, window: Window,
     An element e joins the partial set only while check_sperner holds on
     partial + (e,), decided by _sperner_admit on the members e completes.
     """
-    if target < 1:
-        raise ValueError("target must be at least 1")
+    _target(target)
     _cap(target)
     hit = _lex_first(window.ground, target, *_sperner_admit(spec))
     if hit is None:
@@ -239,9 +243,10 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     family's subset closure, its star test; ex112 and custom specs have
     none and raise ValueError before that decision.
     """
+    _target(target)
     step_a, root_a = _branch("A", hered_desc, spec)  # ex112 and custom raise
     _probe_hereditary(hered_desc)
-    if not 1 <= target <= len(window.ground):
+    if target > len(window.ground):
         raise ValueError("target outside the window")
     _cap(target)
     step_b, root_b = _branch("B", hered_desc, spec)
@@ -319,10 +324,11 @@ def rank_separation(xi1, xi2, window: Window,
     """Find L where every level-xi1 member is a proper initial segment of
     a level-xi2 member.  Requires xi1 < xi2.  This is _branch's branch B
     for member:A:xi1 against A:xi2."""
+    _target(target)
     xi1, xi2 = as_ordinal(xi1), as_ordinal(xi2)
     if compare(xi1, xi2) >= 0:
         raise ValueError("separation needs xi1 < xi2")
-    if not 1 <= target <= len(window.ground):
+    if target > len(window.ground):
         raise ValueError("target outside the window")
     _cap(target)
     desc = f"member:A:{format_ordinal(xi1)}"
@@ -578,8 +584,10 @@ def _large_index_record(into_desc: str, sigma: Optional[Ordinal],
     """The large-index Transfer record for a found L.
 
     Computes the route and the spread count on L, with target len(L).
-    Raises ValueError when a spread escapes the target predicate.
+    Raises ValueError when L is empty or a spread escapes the target
+    predicate.
     """
+    _target(len(L))
     route = _transfer_route(level, sigma)
     checked, escaped = _spread_into(level, L, hereditary_predicate(into_desc))
     if escaped is not None:
@@ -611,6 +619,7 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     against the original predicate.  None means the window or the admit
     budget, _MAX_ADMITS, ran out.
     """
+    _target(target)
     level = _as_level(xi)
     H = hereditary_predicate(into_desc)
     lift = _transfer_route(level, sigma) == "lift"

@@ -223,7 +223,8 @@ def test_sperner_verifier_empty_witness():
     # sperner_refine refuses target 0, so no search writes this record
     empty = make_certificate("SpernerRefined", "A:3", Window(1, 10), (),
                              {"target": 0, "op": "sperner-refine"})
-    assert verify_certificate(empty) == (False, "target must be at least 1")
+    assert verify_certificate(empty) == (
+        False, "target must be an integer >= 1, got 0")
 
 
 # 40 odd numbers below 80: listing their subsets would walk 2^40 sets
@@ -271,7 +272,7 @@ def test_homogeneous_verifier_edge_witnesses():
     assert verify_certificate(cert("A:0", (1, 2, 3), 7)) == (
         False, "recorded color disagrees with the re-check")
     assert verify_certificate(cert("A:2", (), 7)) == (
-        False, "target must be at least 1")
+        False, "target must be an integer >= 1, got 0")
     ok, reason = verify_certificate(cert("A:2", (1, 2, 3), 1))
     assert not ok and reason.startswith("member (1, 2) has color")
 

@@ -306,6 +306,16 @@ def test_search_target_over_the_cap_is_usage_error(capsys, argv):
     assert err.startswith("error:") and "cap 25" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("ord", "--ordinal", "w^" * 1000 + "1"),
+    ("member", "--family", "A:" + "w^" * 700 + "1", "--set", "{1,2}"),
+], ids=["ord", "member"])
+def test_deeply_nested_ordinal_is_usage_error(capsys, argv):
+    # both exited 1 with a RecursionError traceback
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
 def test_chain(capsys):
     rc, doc, _ = run_json(capsys, "chain", "--hereditary", "member:F:1",
                           "--window", "1..30", "--depth", "4")

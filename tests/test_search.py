@@ -670,6 +670,41 @@ def test_search_at_the_cap_verifies(name):
         assert verify_certificate(cert) == (True, "ok")
 
 
+# -- the target rule --------------------------------------------------
+#
+# Every search takes its target by search._target, detect_chain's depth
+# rule: an int >= 1, never a bool.  A True target once wrote certificates
+# their own check refused, 2.0 raised TypeError, and the large-index
+# transfer took any target down to -5, emitting an empty witness at 0.
+
+TARGET_SEARCHES = {
+    **CAPPED_SEARCHES,
+    "large_index_transfer": lambda t: large_index_transfer(
+        "down:A:w*2", o("w*2+1"), 1, Window(1, 40), t),
+}
+
+
+@pytest.mark.parametrize("target", [True, False, 2.0, 0, -1])
+@pytest.mark.parametrize("name", sorted(TARGET_SEARCHES))
+def test_search_refuses_a_target_that_is_no_positive_int(monkeypatch, name,
+                                                          target):
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(search, "_lex_first", refuse)
+    with pytest.raises(ValueError, match=r"target must be an integer >= 1, "
+                       f"got {target!r}$"):
+        TARGET_SEARCHES[name](target)
+
+
+def test_resigned_empty_large_index_record_is_refused():
+    cert = TARGET_SEARCHES["large_index_transfer"](8)
+    payload = dict(cert.payload_dict(), target=0, spread_checked=0)
+    empty = make_certificate("Transfer", cert.family, cert.window, (), payload)
+    assert verify_certificate(empty) == (
+        False, "target must be an integer >= 1, got 0")
+
+
 # -- detect_chain -----------------------------------------------------
 
 
