@@ -53,8 +53,6 @@ from .search import (
     sperner_refine,
 )
 
-__all__ = ["CriterionResult", "run_one", "run_all", "CRITERIA"]
-
 # the index ordinals sampled throughout: small naturals plus the first
 # interesting limits and successors
 XI_SAMPLE = ("1", "2", "3", "w", "w+1", "w*2", "w^2", "w^w")

@@ -15,14 +15,6 @@ from .families import FamilySpec, check_sperner
 from .finsets import FinSet, Window, as_finset
 from .ordinals import ZERO, _walk
 
-__all__ = [
-    "CanonicalRep",
-    "FamilyContractError",
-    "canonical_rep",
-    "trichotomy",
-    "sperner_witness",
-]
-
 
 class FamilyContractError(ValueError):
     """The family violated a uniformity assumption (e.g. is not thin)."""

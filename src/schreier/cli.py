@@ -442,7 +442,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ColoringProtocolError as e:
         print(f"coloring protocol failure: {e}", file=sys.stderr)
         return NEGATIVE
-    except (ValueError, RecursionError) as e:  # too deep a nesting is bad input
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     if args.json:

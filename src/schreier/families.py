@@ -54,21 +54,6 @@ from .ordinals import (
     wainer_fundamental,
 )
 
-__all__ = [
-    "residual_after",
-    "uniform_member",
-    "uniform_star",
-    "union_schreier_member",
-    "FamilySpec",
-    "parse_family",
-    "enumerate_family",
-    "section",
-    "star_closure",
-    "check_thin",
-    "check_sperner",
-    "enumerate_union_schreier",
-]
-
 
 # -- system families --------------------------------------------------
 

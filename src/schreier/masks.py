@@ -36,8 +36,6 @@ from .ordinals import ZERO, Ordinal, as_ordinal, descend
 
 import numpy as np
 
-__all__ = ["MaskFamily", "masks_to_sets", "sort_masks"]
-
 # one uint64 per mask: the state arrays may hold 2**27 masks, 1 GiB
 _MAX_MASKS = 1 << 27
 

@@ -27,27 +27,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Tuple
 
-__all__ = [
-    "Ordinal",
-    "ZERO",
-    "ONE",
-    "OMEGA",
-    "from_int",
-    "as_ordinal",
-    "compare",
-    "add",
-    "omega_power",
-    "nat_multiple",
-    "classify",
-    "predecessor",
-    "fundamental",
-    "wainer_fundamental",
-    "descend",
-    "parse_ordinal",
-    "format_ordinal",
-    "OrdinalParseError",
-]
-
 
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form.
@@ -402,6 +381,12 @@ def _walk(r: Ordinal, s, i: int = 0) -> Tuple[Ordinal, int]:
 # Whitespace is ignored.  Sums are normalised with ordinal addition, so
 # "1 + w" parses to w.
 
+# the deepest exponent nesting parsed: parsing, formatting and comparing
+# recurse one to three frames per level, so 300 levels stay inside the
+# interpreter's default limit of 1000 frames, and past them a tower such
+# as "w^" * 1000 + "1" is an OrdinalParseError, not a RecursionError
+_NESTING_LIMIT = 300
+
 
 class OrdinalParseError(ValueError):
     pass
@@ -437,34 +422,36 @@ class _Parser:
             self.error("expected a number")
         return int(self.text[start : self.pos])
 
-    def atom(self) -> Ordinal:
+    def atom(self, depth: int) -> Ordinal:
+        if depth > _NESTING_LIMIT:
+            self.error(f"exponents nest past the recursion bound of {_NESTING_LIMIT}")
         ch = self.peek()
         if ch == "(":
             self.take("(")
-            val = self.sum()
+            val = self.sum(depth)
             self.take(")")
             return val
         if ch == "{":
             self.take("{")
-            val = self.sum()
+            val = self.sum(depth)
             self.take("}")
             return val
         if ch == "w":
             self.pos += 1
             if self.peek() == "^":
                 self.take("^")
-                return omega_power(self.atom())
+                return omega_power(self.atom(depth + 1))
             return OMEGA
         return from_int(self.nat())
 
-    def term(self) -> Ordinal:
+    def term(self, depth: int) -> Ordinal:
         ch = self.peek()
         if ch == "w":
             self.pos += 1
             exp = ONE
             if self.peek() == "^":
                 self.take("^")
-                exp = self.atom()
+                exp = self.atom(depth + 1)
             coeff = 1
             if self.peek() == "*":
                 self.take("*")
@@ -476,16 +463,19 @@ class _Parser:
             return from_int(self.nat())
         self.error("expected a term")
 
-    def sum(self) -> Ordinal:
-        total = self.term()
+    def sum(self, depth: int = 0) -> Ordinal:
+        total = self.term(depth)
         while self.peek() == "+":
             self.take("+")
-            total = add(total, self.term())
+            total = add(total, self.term(depth))
         return total
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    """Parse the textual ordinal form, e.g. ``w^2*3 + w*2 + 5``."""
+    """Parse the textual ordinal form, e.g. ``w^2*3 + w*2 + 5``.
+
+    Exponents nest at most 300 deep; deeper input is an OrdinalParseError.
+    """
     p = _Parser(text)
     val = p.sum()
     p.skip_ws()

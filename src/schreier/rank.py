@@ -21,15 +21,6 @@ from .families import FamilySpec, residual_after
 from .finsets import EMPTY, FinSet, Window, as_finset, check_hereditary
 from .ordinals import ONE, Ordinal, add, as_ordinal, compare, omega_power
 
-__all__ = [
-    "symbolic_rank",
-    "closure_index",
-    "RankTable",
-    "ProbeInconsistency",
-    "brute_derivative",
-    "index_compare",
-]
-
 
 def symbolic_rank(xi, s) -> Ordinal:
     """Rank of s in the derivative hierarchy of the system family closure.

@@ -11,6 +11,8 @@ numpy.  Each case runs in a fresh interpreter, since this one has long
 since loaded them all.
 """
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -147,3 +149,26 @@ def test_every_table_name_is_its_submodule_attribute():
         for name in names:
             assert getattr(home, name) is getattr(schreier, name), name
     assert set(schreier.__all__) | set(schreier._EXPORTS) <= set(dir(schreier))
+
+
+def test_every_table_name_is_defined_by_its_submodule():
+    # the table is the only list of public names, so this is what guards
+    # that each entry points at the module that owns the name, not one
+    # that imports it: classes and functions by __module__, constants by
+    # an assignment at the top of the module's own source
+    import schreier
+
+    for module, names in schreier._EXPORTS.items():
+        home = getattr(schreier, module)
+        assigned = {target.id
+                    for node in ast.parse(inspect.getsource(home)).body
+                    if isinstance(node, ast.Assign)
+                    for target in node.targets
+                    if isinstance(target, ast.Name)}
+        for name in names:
+            assert name in vars(home), (module, name)
+            value = vars(home)[name]
+            if callable(value):
+                assert value.__module__ == home.__name__, (module, name)
+            else:
+                assert name in assigned, (module, name)

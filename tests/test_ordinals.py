@@ -204,6 +204,21 @@ def test_parse_rejects(bad):
         parse_ordinal(bad)
 
 
+@pytest.mark.parametrize("nest", [
+    lambda n: "w^" * n + "1",
+    lambda n: "w^(" * n + "1" + ")" * n,
+], ids=["tower", "parenthesised"])
+def test_parse_nesting_bound(nest):
+    # a deep tower raised RecursionError, not the parser's ValueError
+    limit = ordinals._NESTING_LIMIT
+    x = parse_ordinal(nest(limit))
+    assert parse_ordinal(format_ordinal(x)) is x
+    assert compare(x, parse_ordinal(nest(limit - 1))) == 1
+    for depth in (limit + 1, 1000):
+        with pytest.raises(OrdinalParseError, match="recursion bound of 300"):
+            parse_ordinal(nest(depth))
+
+
 @given(deep_ordinals)
 def test_format_parse_roundtrip(x):
     assert parse_ordinal(format_ordinal(x)) == x
