@@ -156,6 +156,9 @@ class Window:
     ground: Tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if type(self.lo) is not int or type(self.hi) is not int:
+            raise TypeError(f"window bounds must be ints, got "
+                            f"[{self.lo!r}, {self.hi!r}]")
         if not (1 <= self.lo <= self.hi):
             raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
         if self.hi - self.lo >= _MAX_SPAN:

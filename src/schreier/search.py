@@ -244,16 +244,16 @@ def hereditary_dichotomy(hered_desc: str, spec: FamilySpec, window: Window,
     none and raise ValueError before that decision.
     """
     _target(target)
-    step_a, root_a = _branch("A", hered_desc, spec)  # ex112 and custom raise
+    admit_a, root_a = _branch("A", hered_desc, spec)  # ex112 and custom raise
     _probe_hereditary(hered_desc)
     if target > len(window.ground):
         raise ValueError("target outside the window")
     _cap(target)
-    step_b, root_b = _branch("B", hered_desc, spec)
+    admit_b, root_b = _branch("B", hered_desc, spec)
 
     def admit(partial, e, state):
-        a, b = step_a(state[0], e), step_b(state[1], e)
-        return a.__class__ is list or b.__class__ is list, (a, b)
+        a, b = admit_a(partial, e, state[0]), admit_b(partial, e, state[1])
+        return a[0] or b[0], (a[1], b[1])
 
     hit = _lex_first(window.ground, target, _budgeted(admit), (root_a, root_b))
     if hit is None:
@@ -276,24 +276,32 @@ def _budgeted(admit):
 
 
 def _every(keep, ok):
-    """Step and root state for "every subset of the partial set that keep
+    """Admit and root state for "every subset of the partial set that keep
     keeps passes ok(t, r)", r its _kept residual: a _kept frontier (a
-    list), or, once a check failed, the first kept set that failed."""
+    list), or the first kept set that failed, which refuses every e."""
     grow, root = _kept(keep)
 
-    def step(state, e):
+    def admit(partial, e, state):
         if state.__class__ is tuple:
-            return state
+            return False, state
         grown, frontier = grow(state, e)
-        return next((t for t, r in grown if not ok(t, r)), frontier)
+        bad = next((t for t, r in grown if not ok(t, r)), None)
+        return (True, frontier) if bad is None else (False, bad)
 
     r = root[0][1] if root else ZERO  # the empty set's residual
     kept = isinstance(keep, FamilySpec) or keep(EMPTY)  # a star test keeps ()
-    return step, EMPTY if kept and not ok(EMPTY, r) else root
+    return admit, EMPTY if kept and not ok(EMPTY, r) else root
+
+
+# why a dichotomy branch's admit refuses a set, by certificate kind
+_FAILS = {
+    "DichotomyBranchA": "is in the subset closure but outside the target",
+    "DichotomyBranchB": "is not a proper initial segment of a member",
+}
 
 
 def _branch(branch: str, desc, spec: FamilySpec):
-    """_every's step and root state for dichotomy branch A or B.
+    """_every's admit and root state for dichotomy branch A or B.
 
     A keeps the family's subset closure and checks each set is in the
     predicate desc names.  B keeps the predicate's sets, or a ``member:``
@@ -332,9 +340,8 @@ def rank_separation(xi1, xi2, window: Window,
         raise ValueError("target outside the window")
     _cap(target)
     desc = f"member:A:{format_ordinal(xi1)}"
-    step, root = _branch("B", desc, FamilySpec("A", xi2))
-    hit = _lex_first(window.ground, target, lambda partial, e, state: (
-        (state := step(state, e)).__class__ is list, state), root)
+    hit = _lex_first(window.ground, target,
+                     *_branch("B", desc, FamilySpec("A", xi2)))
     if hit is None:
         return None
     L, _ = hit
@@ -625,7 +632,7 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     lift = _transfer_route(level, sigma) == "lift"
     pred = (lambda t, r: not t or H(t[1:])) if lift else lambda t, r: H(t)
     drop = 4 if lift else 2
-    step, root = _every(FamilySpec("B", as_ordinal(level)), pred)
+    every, root = _every(FamilySpec("B", as_ordinal(level)), pred)
     size = target + drop
     if size > len(window.ground):
         raise ValueError("window too small for the requested target")
@@ -633,11 +640,10 @@ def large_index_transfer(into_desc: str, sigma: Optional[Ordinal], xi,
     def admit(partial, e, frontier):
         # the subset filter prunes; spreading onto a subset of L is not
         # monotone, so the spread check waits for the last element
-        frontier = step(frontier, e)
+        ok, frontier = every(partial, e, frontier)
         L = (partial + (e,))[drop:]
-        return frontier.__class__ is list and (
-            len(partial) + 1 < size or _spread_into(level, L, H)[1] is None
-        ), frontier
+        return ok and (len(partial) + 1 < size
+                       or _spread_into(level, L, H)[1] is None), frontier
 
     hit = _lex_first(window.ground, size, _budgeted(admit), root)
     if hit is None:
@@ -664,30 +670,51 @@ def recheck(cert: Certificate, coloring: Optional[Coloring] = None):
     Window(lo, hi, witness) at target len(witness), so the only L it can
     find is the witness.  The record it writes must match cert's kind,
     family, witness and every payload key, typed: a recorded 8.0 or True
-    is not the 8 or 1 a search writes.  No digest is computed.
+    is not the 8 or 1 a search writes.  A rerun that finds nothing is
+    refused with the first counterexample its search's own admit meets,
+    folded over the witness.  No digest is computed.
     """
     p = cert.payload_dict()
-    kind, op, n = cert.kind, p.get("op"), len(cert.witness)
+    kind, op, w = cert.kind, p.get("op"), cert.witness
+    why = None  # the row's reason when the rerun finds nothing
     try:
-        on = Window(cert.window.lo, cert.window.hi, cert.witness)
+        on = Window(cert.window.lo, cert.window.hi, w)
         if kind == "Homogeneous" and op is None:
+            spec, color = parse_family(cert.family), p.get("color")
             coloring = coloring or _recorded_coloring(p)
-            found = homogenize.__wrapped__(parse_family(cert.family), coloring,
-                                           on, n)
-        elif kind.startswith("Dichotomy") and op is None:
+            found = homogenize.__wrapped__(spec, coloring, on, len(w))
+            if found is None:  # homogenize's admit from the recorded colour
+                admit, (_, root) = _homogenize_admit(spec, coloring)
+                t = _refused(admit, (color, root), w)  # None: a fickle oracle
+                why = t and (f"member {t} has color {coloring(t)}, expected "
+                             f"{color} ({coloring.name}, {coloring.colors} "
+                             "colors)")
+        elif kind in _FAILS and op is None:
+            desc, spec = p.get("hereditary"), parse_family(cert.family)
             found = next((r for r in hereditary_dichotomy.__wrapped__(
-                p.get("hereditary"), parse_family(cert.family), on, n)
-                if r[0] == kind), None)
+                desc, spec, on, len(w)) if r[0] == kind), None)
+            if found is None:
+                t = _refused(*_branch(kind[-1], desc, spec), w)
+                why = f"{t} {_FAILS[kind]}"
         elif kind == "DichotomyBranchB" and op == "rank-separation":
             # the levels follow the last colon; the compare refuses the rest
             xi1, xi2 = (parse_ordinal(str(v).rpartition(":")[2])
                         for v in (p.get("hereditary"), cert.family))
-            found = rank_separation.__wrapped__(xi1, xi2, on, n)
+            found = rank_separation.__wrapped__(xi1, xi2, on, len(w))
+            if found is None:
+                t = _refused(*_branch("B", f"member:A:{format_ordinal(xi1)}",
+                                      FamilySpec("A", xi2)), w)
+                why = f"{t} {_FAILS[kind]}"
         elif kind == "SpernerRefined" and op == "sperner-refine":
-            found = sperner_refine.__wrapped__(parse_family(cert.family), on, n)
+            spec = parse_family(cert.family)
+            found = sperner_refine.__wrapped__(spec, on, len(w))
+            if found is None:
+                pair = _refused(*_sperner_admit(spec), w)
+                why = "members {} and {} are nested".format(*pair)
         elif kind == "Chain" and op is None:
-            found = detect_chain.__wrapped__(p.get("hereditary"), on,
-                                             p.get("depth"))
+            depth = p.get("depth")
+            found = detect_chain.__wrapped__(p.get("hereditary"), on, depth)
+            why = f"no chain of depth {depth!r} ends at the witness {w}"
         elif kind == "Transfer" and op is None:
             level, variant = _as_level(int(str(p.get("xi")))), p.get("variant")
             if variant == "shift":
@@ -698,7 +725,7 @@ def recheck(cert: Certificate, coloring: Optional[Coloring] = None):
                 found = _large_index_record(
                     p.get("into"),
                     None if sigma == "infinity" else parse_ordinal(sigma),
-                    level, cert.window, cert.witness)
+                    level, cert.window, w)
             else:
                 return False, f"unknown transfer variant {variant!r}"
         else:
@@ -706,7 +733,7 @@ def recheck(cert: Certificate, coloring: Optional[Coloring] = None):
     except (ValueError, RuntimeError) as e:
         return False, str(e)
     if found is None:
-        return False, _refusal(cert, coloring)
+        return False, why or f"the search finds no {kind} record on the witness"
     _, family, _, L, want = found  # the kind is the one dispatched on
     for key, built in (("family", family), ("witness", L)):
         if getattr(cert, key) != built:
@@ -717,37 +744,6 @@ def recheck(cert: Certificate, coloring: Optional[Coloring] = None):
         if got != built:
             return False, f"recorded {key} disagrees with the re-check"
     return True, "ok"
-
-
-def _refusal(cert: Certificate, coloring: Optional[Coloring]) -> str:
-    """Why the rerun search found no witness: the first counterexample
-    its own step meets, folded over the witness."""
-    p, w = cert.payload_dict(), cert.witness
-    if cert.kind == "Homogeneous":
-        # homogenize's admit from the recorded colour
-        admit, (_, root) = _homogenize_admit(parse_family(cert.family),
-                                             coloring)
-        color = p.get("color")
-        t = _refused(admit, (color, root), w)
-        if t is not None:
-            return (f"member {t} has color {coloring(t)}, expected {color} "
-                    f"({coloring.name}, {coloring.colors} colors)")
-    elif cert.kind.startswith("Dichotomy"):
-        step, state = _branch(cert.kind[-1], p.get("hereditary"),
-                              parse_family(cert.family))
-        for x in w:
-            state = step(state, x)
-        if state.__class__ is tuple:
-            return (f"{state} is in the subset closure but outside the target"
-                    if cert.kind[-1] == "A" else
-                    f"{state} is not a proper initial segment of a member")
-    elif cert.kind == "SpernerRefined":
-        pair = _refused(*_sperner_admit(parse_family(cert.family)), w)
-        if pair is not None:
-            return "members {} and {} are nested".format(*pair)
-    elif cert.kind == "Chain":
-        return f"no chain of depth {p.get('depth')!r} ends at the witness {w}"
-    return f"the search finds no {cert.kind} record on the witness"
 
 
 def _refused(admit, state, w):

@@ -383,6 +383,10 @@ def _with(field, value):
 @pytest.mark.parametrize("text", [
     _with("payload", []),
     _with("window", {"lo": 5, "hi": 2}),
+    # re-signed, a true lo verified, and a float one raised TypeError in
+    # the digest's range over the bounds
+    _with("window", {"lo": True, "hi": 20}),
+    _with("window", {"lo": 1.0, "hi": 20, "ground": [1, 3, 5, 7]}),
     _with("witness", [3, 3]),
     _with("witness", [0, 2]),
     _with("witness", ["a"]),
@@ -391,7 +395,8 @@ def _with(field, value):
     "not json {",
     "[]",
     "3",
-], ids=["payload-list", "window-lo-above-hi", "witness-duplicate",
+], ids=["payload-list", "window-lo-above-hi", "window-bool-bound",
+        "window-float-bound", "witness-duplicate",
         "witness-zero", "witness-text", "family-number", "family-list",
         "not-json", "json-list", "json-number"])
 def test_from_json_malformed_raises_certificate_error(text):
@@ -760,6 +765,64 @@ def test_separation_record_needs_the_lower_level_below():
     with pytest.raises(ValueError, match="xi1 < xi2"):
         rank_separation(parse_ordinal("2"), parse_ordinal("1"), Window(1, 5),
                         1)
+
+
+# One record per recheck row that its search does not find on the witness,
+# with the exact reason: the first counterexample the search's own rule
+# meets, or the row's own refusal.
+REFUSALS = [
+    ("Homogeneous", "A:2", Window(1, 9), (1, 2, 3),
+     {"coloring": "parity-sum", "color": 1, "target": 3, "order": "lex"},
+     "member (1, 2) has color 2, expected 1 (parity-sum, 2 colors)"),
+    ("DichotomyBranchA", "exL", Window(1, 30), (1, 2, 3, 4),
+     {"hereditary": "down:F:1", "branch": "A", "target": 4},
+     "(1, 2) is in the subset closure but outside the target"),
+    ("DichotomyBranchA", "A:1", Window(1, 30), (1, 2),
+     {"hereditary": "member:A:1", "branch": "A", "target": 2},
+     "() is in the subset closure but outside the target"),
+    ("DichotomyBranchB", "A:1", Window(1, 30), (3, 5),
+     {"hereditary": "down:A:1", "branch": "B", "target": 2},
+     "(3,) is not a proper initial segment of a member"),
+    ("DichotomyBranchB", "A:0", Window(1, 30), (1, 2),
+     {"hereditary": "all", "branch": "B", "target": 2},
+     "() is not a proper initial segment of a member"),
+    ("DichotomyBranchB", "A:w", Window(1, 20), (3, 4, 5),
+     {"hereditary": "member:A:3", "branch": "B", "op": "rank-separation",
+      "target": 3},
+     "(3, 4, 5) is not a proper initial segment of a member"),
+    ("SpernerRefined", "ex112", Window(1, 12), (1, 2, 3, 4, 5, 6),
+     {"target": 6, "op": "sperner-refine"},
+     "members (2, 3, 4, 5) and (1, 2, 3, 4, 5, 6) are nested"),
+    ("Chain", "down:A:3", Window(1, 10), (1, 2, 4),
+     {"hereditary": "down:A:3", "depth": 5, "chain": [[1], [1, 2], [1, 2, 4]]},
+     "no chain of depth 5 ends at the witness (1, 2, 4)"),
+    ("Homogeneous", "A:2", Window(1, 9), (1, 3),
+     {"coloring": "parity-sum", "color": 1, "target": 2, "order": "lex",
+      "op": "x"},
+     "no search writes a Homogeneous record with op 'x'"),
+]
+
+
+@pytest.mark.parametrize("kind,family,window,witness,payload,reason",
+                         REFUSALS, ids=[r[-1][:24] for r in REFUSALS])
+def test_each_recheck_row_names_its_refusal(kind, family, window, witness,
+                                            payload, reason):
+    record = make_certificate(kind, family, window, witness, payload)
+    assert verify_certificate(record) == (False, reason)
+
+
+@pytest.mark.parametrize("hereditary,family", [("foo:A:3", "A:w"),
+                                               ("member:A:3", "zzz:w")])
+def test_separation_refusal_folds_the_levels_it_reran(hereditary, family):
+    # the rerun reads each level after the last colon; the refusal folds
+    # rank_separation's admit at those levels, not the recorded strings,
+    # which neither parse as a predicate nor as a family
+    record = make_certificate(
+        "DichotomyBranchB", family, Window(1, 20), (3, 4, 5),
+        {"hereditary": hereditary, "branch": "B", "op": "rank-separation",
+         "target": 3})
+    assert verify_certificate(record) == (
+        False, "(3, 4, 5) is not a proper initial segment of a member")
 
 
 @pytest.mark.parametrize("color", [7, 2])

@@ -144,6 +144,15 @@ def test_window_basics():
         Window(2, 5, ground=(1, 3))
 
 
+@pytest.mark.parametrize("lo,hi,ground", [
+    (True, 8, None), (1.0, 8, (1, 2)), (1, 8.5, (1, 2))])
+def test_window_bounds_must_be_ints(lo, hi, ground):
+    # each passes 1 <= lo <= hi; a float bound then breaks the range the
+    # certificate digest builds, and a bool one is no bound a search writes
+    with pytest.raises(TypeError, match="bounds must be ints"):
+        Window(lo, hi, ground)
+
+
 def test_window_subset_count_and_order():
     w = Window(1, 6)
     subs = list(w.subsets())

@@ -365,14 +365,14 @@ def old_verify_dichotomy(cert):
     try:
         _cap(len(cert.witness))
         spec = parse_family(cert.family)
-        step, state = search._branch(branch, desc, spec)
+        admit, state = search._branch(branch, desc, spec)
         if "op" not in p:
             search._probe_hereditary(desc)
         elif not (p["op"] == "rank-separation" and branch == "B"
                   and spec.kind == "A" and desc.startswith("member:A:")):
             return False, f"op {p['op']!r} does not fit {cert.kind} on {desc}"
-        for x in cert.witness:
-            state = step(state, x)
+        for i, x in enumerate(cert.witness):  # a refused set refuses on
+            _, state = admit(cert.witness[:i], x, state)
     except ValueError as e:
         return False, str(e)
     if state.__class__ is list:
